@@ -9,9 +9,8 @@ from .linops import (
     Mask,
     DenseOperator,
     LinearOperator,
-    cg_solve,
 )
-from .guidance import GuidanceConfig, g_bp, g_ls, g_delta, wls_objective
+from .guidance import GuidanceConfig, g_bp, g_ls, g_delta, guide, wls_objective
 from .schemes import (
     DiffusionSchedule,
     SchemeConfig,
@@ -34,12 +33,12 @@ __all__ = [
     "Mask",
     "DenseOperator",
     "LinearOperator",
-    "cg_solve",
     "GuidanceConfig",
     "g_bp",
     "g_ls",
     "g_delta",
     "wls_objective",
+    "guide",
     "DiffusionSchedule",
     "SchemeConfig",
     "RunTrace",

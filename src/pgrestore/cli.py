@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .denoisers import GaussianSmooth, Identity, ExternalDenoiser, WienerMMSE, WienerPrior
+from .denoisers import WienerPrior, make_denoiser
 from .linops import CircularConvolution, DownsampleConvolution, Mask, as_image
 from .metrics import NoiseSpec, degrade, mse, psnr
 from .schemes import make_ddpm_schedule, make_scheme_config, run_scheme
@@ -129,24 +129,6 @@ def _build_operator(cfg: dict, image_shape):
     return Mask(mask, image_shape)
 
 
-def _build_denoiser(spec: str, image_shape):
-    if spec == "identity":
-        return Identity()
-    if spec == "wiener":
-        # Unit-range images: smooth default prior around a 0.5 gray mean.
-        prior = WienerPrior(
-            spectrum=WienerPrior.smooth_default(image_shape[1:]).spectrum, mean=0.5
-        )
-        return WienerMMSE(prior)
-    if spec == "gauss":
-        return GaussianSmooth()
-    if spec.startswith("gauss:"):
-        return GaussianSmooth(kappa=float(spec.split(":", 1)[1]))
-    if spec.startswith("external:"):
-        return ExternalDenoiser(spec.split(":", 1)[1])
-    raise ValueError(f"unknown denoiser spec {spec!r}")
-
-
 def _read_source(path) -> np.ndarray:
     p = _require_file(path, "input image")
     data = io.read_tensor(p) if p.suffix == ".pgt" else io.read_image(p)
@@ -155,6 +137,16 @@ def _read_source(path) -> np.ndarray:
 
 def _measurement_to_3d(y: np.ndarray) -> np.ndarray:
     return y if y.ndim == 3 else y[:, :, None]
+
+
+def _fit_measurement(y: np.ndarray, op, path) -> np.ndarray:
+    """``y`` in the operator's output shape, or its file form (c, kept, 1) for masks."""
+    if y.shape in (op.output_shape, op.output_shape + (1,)):
+        return y.reshape(op.output_shape)
+    raise ValueError(
+        f"{path}: measurement shape {y.shape} does not match the shape "
+        f"{op.output_shape} that the sidecar's operator produces"
+    )
 
 
 def cmd_degrade(args) -> int:
@@ -195,9 +187,10 @@ def cmd_restore(args) -> int:
     y = io.read_tensor(meas_file)
     if not np.isfinite(y).all():
         raise ValueError(f"{meas_file}: measurement contains non-finite values")
-    if op.output_shape != y.shape:
-        y = y.reshape(op.output_shape)
-    denoiser = _build_denoiser(cfg["denoiser"], image_shape)
+    y = _fit_measurement(y, op, meas_file)
+    # Unit-range images: smooth default prior around a 0.5 gray mean.
+    prior = WienerPrior(spectrum=WienerPrior.smooth_default(image_shape[1:]).spectrum, mean=0.5)
+    denoiser = make_denoiser(cfg["denoiser"], prior)
     schedule = make_ddpm_schedule(cfg["T"], cfg["beta_start"], cfg["beta_end"])
     scheme = make_scheme_config(
         cfg["method"],
@@ -269,12 +262,6 @@ def _parse_claims(text: str) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    if args.degenerate_lambda:
-        # Test hook: a degenerate spectrum must surface a validation error.
-        from .theory import condition_numbers
-
-        condition_numbers(np.ones(3), 0.5, 1.0)
-        return 0
     selection = _parse_claims(args.claims) if args.claims else None
     overrides = {}
     if args.mc_draws is not None:
@@ -339,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the numerical verification battery")
     p_ver.add_argument("--claims", help="comma-separated subset, e.g. 1,4 or claim1,theorem1")
     p_ver.add_argument("--mc-draws", dest="mc_draws", type=int, help="Monte-Carlo draw count")
-    p_ver.add_argument("--degenerate-lambda", action="store_true", help=argparse.SUPPRESS)
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -12,7 +12,10 @@ fast progress) to ~1 at the end (LS: robust to measurement noise).
 ``g_delta`` is the exact gradient of a weighted least-squares term whose
 weight interpolates between the Gram inverse and a scaled identity;
 ``wls_objective`` evaluates that term without forming matrix square
-roots.
+roots. All four go through one weighting W r = (1 - delta)(A A^T +
+eta I)^-1 r + delta c r. ``guide`` takes one guided step and returns the
+objective and residual before and after it, computing each residual and
+Gram solve once.
 
 All functions are pure and safe for concurrent use.
 """
@@ -32,6 +35,7 @@ __all__ = [
     "g_ls",
     "g_delta",
     "wls_objective",
+    "guide",
     "delta_schedule",
     "eta_from_noise",
     "mu_schedule",
@@ -81,49 +85,68 @@ class GuidanceConfig:
         return len(self.delta)
 
 
-def _residual(op: LinearOperator, x, y):
-    return op.apply(x) - np.asarray(y, dtype=float)
+def _check_delta(delta: float) -> None:
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+
+
+def _weighted_residual(op: LinearOperator, x, y, delta: float, eta: float, c: float):
+    """r = A x - y and W r, with W = (1 - delta)(A A^T + eta I)^-1 + delta c I.
+
+    The endpoints skip the unused term, so at delta = 0 W r is exactly the
+    Gram solve and at delta = 1 exactly c r.
+    """
+    r = op.apply(x) - np.asarray(y, dtype=float)
+    if delta == 0.0:
+        return r, op.solve_gram(r, eta)
+    if delta == 1.0:
+        return r, c * r
+    return r, (1.0 - delta) * op.solve_gram(r, eta) + delta * c * r
 
 
 def g_bp(op: LinearOperator, x, y, eta: float) -> np.ndarray:
     """Back-projection direction A^T (A A^T + eta I)^-1 (A x - y)."""
-    return op.apply_reg_pinv(_residual(op, x, y), eta)
+    return op.apply_adjoint(_weighted_residual(op, x, y, 0.0, eta, 1.0)[1])
 
 
 def g_ls(op: LinearOperator, x, y, c: float) -> np.ndarray:
     """Scaled least-squares gradient c A^T (A x - y)."""
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
-    return c * op.apply_adjoint(_residual(op, x, y))
+    return op.apply_adjoint(_weighted_residual(op, x, y, 1.0, 0.0, c)[1])
 
 
 def g_delta(op: LinearOperator, x, y, delta: float, eta: float, c: float) -> np.ndarray:
-    """Convex combination (1 - delta) g_bp + delta g_ls."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if delta == 0.0:
-        return g_bp(op, x, y, eta)
-    if delta == 1.0:
-        return g_ls(op, x, y, c)
-    r = _residual(op, x, y)
-    bp = op.apply_reg_pinv(r, eta)
-    ls = c * op.apply_adjoint(r)
-    return (1.0 - delta) * bp + delta * ls
+    """Convex combination (1 - delta) g_bp + delta g_ls = A^T W (A x - y)."""
+    _check_delta(delta)
+    return op.apply_adjoint(_weighted_residual(op, x, y, delta, eta, c)[1])
 
 
 def wls_objective(op: LinearOperator, x, y, delta: float, eta: float, c: float) -> float:
     """Weighted least-squares data term whose gradient is ``g_delta``.
 
     With r = A x - y and W = (1 - delta)(A A^T + eta I)^-1 + delta c I,
-    returns (1/2) r^T W r, evaluated as a pair of inner products rather
-    than through a matrix square root.
+    returns (1/2) r^T W r, evaluated as an inner product rather than
+    through a matrix square root.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    r = _residual(op, x, y)
-    rr = float(np.vdot(r, r))
-    quad_bp = 0.0 if delta == 1.0 else float(np.vdot(r, op.solve_gram(r, eta)))
-    return 0.5 * ((1.0 - delta) * quad_bp + delta * c * rr)
+    _check_delta(delta)
+    r, w_r = _weighted_residual(op, x, y, delta, eta, c)
+    return 0.5 * float(np.vdot(r, w_r))
+
+
+def guide(op: LinearOperator, x0, y, delta: float, eta: float, c: float, mu: float):
+    """One guided step x = x0 - mu g_delta(x0) and the data-term numbers around it.
+
+    Returns (x, objective, residual, objective_after, residual_after):
+    ``wls_objective`` and ||A x - y|| at x0, then at x. Each residual and
+    each Gram solve is computed once.
+    """
+    _check_delta(delta)
+    r, w_r = _weighted_residual(op, x0, y, delta, eta, c)
+    x = x0 - mu * op.apply_adjoint(w_r)
+    r_after, w_r_after = _weighted_residual(op, x, y, delta, eta, c)
+    return (x, 0.5 * float(np.vdot(r, w_r)), float(np.linalg.norm(r)),
+            0.5 * float(np.vdot(r_after, w_r_after)), float(np.linalg.norm(r_after)))
 
 
 def delta_schedule(alpha_bar, gamma: float, sigma_e: float):

@@ -11,7 +11,9 @@ for masks).
 Images are binary 8-bit PGM (P5, grayscale) or PPM (P6, RGB), mapped to
 and from float arrays on the [0, 1] scale.
 
-Config files are flat "key=value" lines with "#" comments.
+Config files are flat "key=value" lines; a line whose first non-blank
+character is "#" is a comment, and a "#" anywhere else is part of the
+value (paths may contain it).
 """
 
 from __future__ import annotations
@@ -163,11 +165,11 @@ def write_config(path, mapping: dict) -> None:
 
 
 def read_config(path) -> dict:
-    """Parse flat key=value lines; '#' starts a comment, blank lines ignored."""
+    """Parse flat key=value lines; blank lines and lines starting with '#' are skipped."""
     out: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}: malformed config line {raw!r}")

@@ -11,8 +11,8 @@ builds on:
 
 Circular convolution and downsample+convolution invert their Gram
 operator with closed-form frequency-domain divisions, masks are tight
-frames (A A^T = I, so the pseudoinverse is the adjoint), and dense
-matrices use direct solves and exist for oracle-scale testing.
+frames (A A^T = I, so the Gram solve is a scaling), and dense matrices
+use direct solves and exist for oracle-scale testing.
 
 Boundary handling is circular everywhere. Operators act channel-wise on
 (channels, height, width) arrays, are immutable after construction, and
@@ -21,30 +21,25 @@ never mutate their inputs, so instances can be shared across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 __all__ = [
     "ShapeMismatchError",
     "SingularOperatorError",
-    "NumericalError",
     "LinearOperator",
     "CircularConvolution",
     "DownsampleConvolution",
     "Mask",
     "DenseOperator",
-    "CGResult",
-    "cg_solve",
     "estimate_spectral_norm",
     "as_image",
     "SPECTRAL_ZERO_TOL",
     "DENSE_SIZE_CAP",
 ]
 
-# Squared spectral magnitudes below this are treated as exact zeros when
-# inverting the Gram operator with eta = 0 (double-precision noise floor).
+# Gram-spectrum values at or below this fraction of their largest value
+# are treated as exact zeros when inverting with eta = 0 (double-precision
+# noise floor). Relative, so scaling a kernel does not change the verdict.
 SPECTRAL_ZERO_TOL = 1e-12
 
 # Dense operators exist for oracle-scale tests only.
@@ -57,10 +52,6 @@ class ShapeMismatchError(ValueError):
 
 class SingularOperatorError(ValueError):
     """The Gram operator A A^T cannot be inverted with eta = 0."""
-
-
-class NumericalError(RuntimeError):
-    """Non-finite values appeared during an iterative solve."""
 
 
 def as_image(x, shape=None) -> np.ndarray:
@@ -105,6 +96,18 @@ def _kernel_response(kernel: np.ndarray, grid_shape) -> np.ndarray:
     return np.fft.fft2(padded)
 
 
+def _check_invertible(gram_spectrum: np.ndarray, eta: float) -> None:
+    """Reject eta = 0 when the Gram spectrum vanishes relative to its peak."""
+    if eta == 0.0:
+        bad = int(np.count_nonzero(
+            gram_spectrum <= SPECTRAL_ZERO_TOL * gram_spectrum.max()))
+        if bad:
+            raise SingularOperatorError(
+                f"cannot invert with eta=0: Gram spectrum vanishes at "
+                f"{bad} of {gram_spectrum.size} frequencies"
+            )
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -144,13 +147,6 @@ class LinearOperator:
     def apply_reg_pinv(self, z: np.ndarray, eta: float) -> np.ndarray:
         """Regularized pseudoinverse A^T (A A^T + eta I)^-1 z."""
         return self.apply_adjoint(self.solve_gram(z, eta))
-
-    def gram(self, r: np.ndarray, eta: float = 0.0) -> np.ndarray:
-        """(A A^T + eta I) r, the operator that ``cg_solve`` inverts."""
-        out = self.apply(self.apply_adjoint(r))
-        if eta != 0.0:
-            out = out + eta * np.asarray(r, dtype=float)
-        return out
 
     def _apply(self, x):
         raise NotImplementedError
@@ -198,29 +194,9 @@ class CircularConvolution(LinearOperator):
         return np.fft.ifft2(np.fft.fft2(r, axes=(-2, -1)) * np.conj(self._response),
                             axes=(-2, -1)).real
 
-    def _check_invertible(self, eta):
-        if eta == 0.0:
-            bad = int(np.count_nonzero(self._power < SPECTRAL_ZERO_TOL))
-            if bad:
-                raise SingularOperatorError(
-                    f"cannot invert with eta=0: kernel spectrum vanishes at "
-                    f"{bad} of {self._power.size} frequencies"
-                )
-
     def _solve_gram(self, r, eta):
-        self._check_invertible(eta)
+        _check_invertible(self._power, eta)
         return np.fft.ifft2(np.fft.fft2(r, axes=(-2, -1)) / (self._power + eta),
-                            axes=(-2, -1)).real
-
-    def apply_reg_pinv(self, z, eta):
-        # Fused single-pass form: F^-1( conj(F(k)) F(z) / (|F(k)|^2 + eta) ).
-        z = np.asarray(z, dtype=float)
-        _check_shape("measurement", z, self.output_shape)
-        if eta < 0:
-            raise ValueError(f"eta must be nonnegative, got {eta}")
-        self._check_invertible(float(eta))
-        spectrum = np.conj(self._response) / (self._power + float(eta))
-        return np.fft.ifft2(np.fft.fft2(z, axes=(-2, -1)) * spectrum,
                             axes=(-2, -1)).real
 
 
@@ -272,13 +248,7 @@ class DownsampleConvolution(LinearOperator):
                             axes=(-2, -1)).real
 
     def _solve_gram(self, r, eta):
-        if eta == 0.0:
-            bad = int(np.count_nonzero(self._gram_response < SPECTRAL_ZERO_TOL))
-            if bad:
-                raise SingularOperatorError(
-                    f"cannot invert with eta=0: Gram-kernel spectrum vanishes "
-                    f"at {bad} of {self._gram_response.size} frequencies"
-                )
+        _check_invertible(self._gram_response, eta)
         return np.fft.ifft2(np.fft.fft2(r, axes=(-2, -1)) / (self._gram_response + eta),
                             axes=(-2, -1)).real
 
@@ -315,14 +285,6 @@ class Mask(LinearOperator):
 
     def _solve_gram(self, r, eta):
         return r / (1.0 + eta)
-
-    def apply_reg_pinv(self, z, eta):
-        # Tight-frame shortcut: A^T z / (1 + eta), exact.
-        z = np.asarray(z, dtype=float)
-        _check_shape("measurement", z, self.output_shape)
-        if eta < 0:
-            raise ValueError(f"eta must be nonnegative, got {eta}")
-        return self._apply_adjoint(z) / (1.0 + eta)
 
 
 class DenseOperator(LinearOperator):
@@ -370,60 +332,6 @@ class DenseOperator(LinearOperator):
                     "A A^T is not positive definite; eta=0 inversion is singular"
                 ) from None
         return np.linalg.solve(g, r.ravel()).reshape(self.output_shape)
-
-
-@dataclass(frozen=True)
-class CGResult:
-    """Outcome of a conjugate-gradient solve."""
-
-    x: np.ndarray
-    converged: bool
-    iterations: int
-    residual_norm: float
-
-
-def cg_solve(gram: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
-             tol: float = 1e-10, max_iters: int | None = None) -> CGResult:
-    """Solve gram(u) = b by conjugate gradients, matrix-free.
-
-    ``gram`` must be symmetric positive definite (any A A^T + eta I with
-    eta > 0 qualifies). Stops when the residual drops below tol * ||b||;
-    if the iteration budget runs out, the best iterate seen is returned
-    with ``converged=False`` rather than raising.
-    """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    b = np.asarray(b, dtype=float)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return CGResult(np.zeros_like(b), True, 0, 0.0)
-    if max_iters is None:
-        max_iters = b.size
-
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(np.vdot(r, r))
-    best_x, best_res = x.copy(), b_norm
-    for k in range(1, max_iters + 1):
-        gp = gram(p)
-        if not np.isfinite(gp).all():
-            raise NumericalError(f"non-finite values in gram application at iteration {k}")
-        denom = float(np.vdot(p, gp))
-        if denom <= 0 or not np.isfinite(denom):
-            raise NumericalError(f"gram operator is not positive definite (p^T G p = {denom})")
-        alpha = rs / denom
-        x = x + alpha * p
-        r = r - alpha * gp
-        rs_new = float(np.vdot(r, r))
-        res = np.sqrt(rs_new)
-        if res < best_res:
-            best_x, best_res = x.copy(), res
-        if res <= tol * b_norm:
-            return CGResult(x, True, k, res)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return CGResult(best_x, False, max_iters, best_res)
 
 
 def estimate_spectral_norm(op: LinearOperator, n_iters: int = 50, seed: int = 0) -> float:

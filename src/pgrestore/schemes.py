@@ -25,32 +25,29 @@ Conventions baked in here and surfaced in the docstrings:
 * One seeded random stream per run, consumed in a fixed order: the
   initial draw first, then one fresh-noise draw per iteration (drawn
   even when its weight is zero), so runs are reproducible bit for bit.
+* A non-finite denoiser output, or a non-finite objective or residual
+  around the guided step, raises RuntimeError naming t and the stage
+  (denoise or guide).
 
 A single run is sequential; concurrent runs share nothing mutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .guidance import (
-    GuidanceConfig,
-    delta_schedule,
-    eta_from_noise,
-    g_delta,
-    mu_schedule,
-    wls_objective,
-)
+from .guidance import GuidanceConfig, delta_schedule, eta_from_noise, guide, mu_schedule
+# Unused here; perfbench/spans.py patches both names on this module and fails without them.
+from .guidance import g_delta, wls_objective  # noqa: F401
 from .linops import LinearOperator
 
 __all__ = [
     "DiffusionSchedule",
     "make_ddpm_schedule",
-    "x0_from_eps",
     "eps_effective",
     "SchemeConfig",
     "make_scheme_config",
@@ -119,13 +116,6 @@ def make_ddpm_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02)
     return DiffusionSchedule(beta=beta, alpha_bar=alpha_bar)
 
 
-def x0_from_eps(x_t: np.ndarray, eps: np.ndarray, alpha_bar_t: float) -> np.ndarray:
-    """Clean-image estimate (x_t - sqrt(1 - abar) eps) / sqrt(abar)."""
-    if not 0.0 < alpha_bar_t <= 1.0:
-        raise ValueError(f"alpha_bar_t must lie in (0, 1], got {alpha_bar_t}")
-    return (x_t - np.sqrt(1.0 - alpha_bar_t) * eps) / np.sqrt(alpha_bar_t)
-
-
 def eps_effective(x_t: np.ndarray, x_clean: np.ndarray, alpha_bar_t: float) -> np.ndarray:
     """Noise implied by a clean estimate: (x_t - sqrt(abar) x_clean) / sqrt(1 - abar)."""
     if not 0.0 < alpha_bar_t < 1.0:
@@ -145,7 +135,6 @@ class SchemeConfig:
     w: np.ndarray
     zeta: float = 0.5
     seed: int = 0
-    gamma: float | None = None
     step_size_policy: str = "unit"
 
     def __post_init__(self):
@@ -206,7 +195,6 @@ def make_scheme_config(
         w=w,
         zeta=float(zeta),
         seed=int(seed),
-        gamma=float(gamma),
         step_size_policy=step_size_policy,
     )
 
@@ -225,7 +213,11 @@ class RunTrace:
     residual: np.ndarray
     objective_after: np.ndarray
     residual_after: np.ndarray
-    final_estimate: np.ndarray = field(repr=False, default=None)
+
+    @classmethod
+    def from_rows(cls, rows) -> "RunTrace":
+        """Columns from rows holding the fields above, in order."""
+        return cls(*(np.array(col) for col in zip(*rows)))
 
     def lines(self) -> list[str]:
         return [
@@ -237,36 +229,25 @@ class RunTrace:
         Path(path).write_text("\n".join(self.lines()) + "\n")
 
 
-class _TraceBuilder:
-    def __init__(self, op, y, cfg):
-        self.op, self.y, self.g = op, y, cfg.guidance
-        self.rows = []
-
-    def record(self, t, delta_t, x_before, x_after):
-        obj = wls_objective(self.op, x_before, self.y, delta_t, self.g.eta, self.g.c)
-        res = float(np.linalg.norm(self.op.apply(x_before) - self.y))
-        obj_after = wls_objective(self.op, x_after, self.y, delta_t, self.g.eta, self.g.c)
-        res_after = float(np.linalg.norm(self.op.apply(x_after) - self.y))
-        self.rows.append((t, delta_t, obj, res, obj_after, res_after))
-
-    def build(self, final) -> RunTrace:
-        cols = list(zip(*self.rows))
-        return RunTrace(
-            t=np.array(cols[0], dtype=int),
-            delta=np.array(cols[1]),
-            objective=np.array(cols[2]),
-            residual=np.array(cols[3]),
-            objective_after=np.array(cols[4]),
-            residual_after=np.array(cols[5]),
-            final_estimate=final,
-        )
-
-
 def _denoiser_step(denoiser, x, sigma, t):
     try:
-        return np.asarray(denoiser(x, sigma), dtype=float)
+        out = np.asarray(denoiser(x, sigma), dtype=float)
     except Exception as exc:
         raise RuntimeError(f"denoiser failed at iteration t={t}: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise RuntimeError(f"non-finite iterate at iteration t={t}, stage denoise")
+    return out
+
+
+def _guide_step(op, x0, y, g: GuidanceConfig, t):
+    """Guided estimate and its trace row; raises if the data term is not finite."""
+    delta_t = float(g.delta[t - 1])
+    x, *numbers = guide(op, x0, y, delta_t, g.eta, g.c, g.mu[t - 1])
+    if not np.isfinite(numbers).all():
+        raise RuntimeError(
+            f"non-finite iterate at iteration t={t}, stage guide "
+            f"(objective, residual before and after: {numbers})")
+    return x, (t, delta_t, *numbers)
 
 
 def idpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
@@ -279,15 +260,14 @@ def idpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     y = np.asarray(y, dtype=float)
     sched, g = cfg.schedule, cfg.guidance
     x = op.apply_reg_pinv(y, g.eta)
-    tracer = _TraceBuilder(op, y, cfg)
+    rows = []
     for t in range(sched.T, 0, -1):
         abar = sched.alpha_bar[t]
         sigma_t = float(np.sqrt((1.0 - abar) / abar))
         x0 = _denoiser_step(denoiser, x, sigma_t, t)
-        delta_t = float(g.delta[t - 1])
-        x = x0 - g.mu[t - 1] * g_delta(op, x0, y, delta_t, g.eta, g.c)
-        tracer.record(t, delta_t, x0, x)
-    return x, tracer.build(x)
+        x, row = _guide_step(op, x0, y, g, t)
+        rows.append(row)
+    return x, RunTrace.from_rows(rows)
 
 
 def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
@@ -306,20 +286,19 @@ def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     x = rng.standard_normal(op.input_shape)
     sqrt_keep = np.sqrt(1.0 - cfg.zeta)
     sqrt_fresh = np.sqrt(cfg.zeta)
-    tracer = _TraceBuilder(op, y, cfg)
+    rows = []
     for t in range(sched.T, 0, -1):
         abar = sched.alpha_bar[t]
         abar_prev = sched.alpha_bar[t - 1]
         sigma_t = float(np.sqrt((1.0 - abar) / abar))
         x0 = _denoiser_step(denoiser, x / np.sqrt(abar), sigma_t, t)
-        delta_t = float(g.delta[t - 1])
-        x_guided = x0 - g.mu[t - 1] * g_delta(op, x0, y, delta_t, g.eta, g.c)
+        x_guided, row = _guide_step(op, x0, y, g, t)
+        rows.append(row)
         eps_hat = eps_effective(x, x_guided, abar)
         eps = rng.standard_normal(op.input_shape)
         noise = cfg.w[t - 1] * sqrt_keep * eps_hat + sqrt_fresh * eps
-        tracer.record(t, delta_t, x0, x_guided)
         x = np.sqrt(abar_prev) * x_guided + np.sqrt(1.0 - abar_prev) * noise
-    return x, tracer.build(x)
+    return x, RunTrace.from_rows(rows)
 
 
 def run_scheme(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):

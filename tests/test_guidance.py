@@ -12,11 +12,12 @@ from pgrestore.guidance import (
     g_bp,
     g_delta,
     g_ls,
+    guide,
     mu_schedule,
     wls_objective,
 )
-from pgrestore.kernels import gaussian_kernel
-from pgrestore.linops import CircularConvolution, DenseOperator, Mask
+from pgrestore.kernels import bicubic_kernel, gaussian_kernel
+from pgrestore.linops import CircularConvolution, DenseOperator, DownsampleConvolution, Mask
 from oracles import directional_derivative, operator_matrix, reg_pinv_svd, wls_objective_dense
 
 
@@ -170,6 +171,55 @@ class TestWLSObjective:
             x_off = x_sol + inst.standard_normal(n)
             assert np.linalg.norm(g_delta(op, x_off, y, delta, 0.0, 1.0)) > 1e-10
             assert np.linalg.norm(g_ls(op, x_off, y, 1.0)) > 1e-10
+
+
+def _guide_operator(kind, rng):
+    shape = (2, 16, 16)
+    if kind == "dense":
+        return DenseOperator(rng.standard_normal((6, 10)))
+    if kind == "conv":
+        return CircularConvolution(gaussian_kernel(5, 1.5), shape)
+    if kind.startswith("sr"):
+        scale = int(kind[2:])
+        return DownsampleConvolution(bicubic_kernel(scale), scale, shape)
+    mask = rng.random(shape[1:]) < 0.5
+    mask[0, 0] = True
+    return Mask(mask, shape)
+
+
+class TestGuide:
+    @given(
+        kind=st.sampled_from(["dense", "conv", "sr2", "sr4", "mask"]),
+        delta=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+        eta=st.floats(min_value=1e-4, max_value=1.0),
+        c=st.floats(min_value=0.1, max_value=2.0),
+        mu=st.floats(min_value=0.0, max_value=1.5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_functions(self, kind, delta, eta, c, mu, seed):
+        rng = np.random.default_rng(seed)
+        op = _guide_operator(kind, rng)
+        x0 = rng.standard_normal(op.input_shape)
+        y = rng.standard_normal(op.output_shape)
+        x, objective, residual, objective_after, residual_after = guide(
+            op, x0, y, delta, eta, c, mu)
+
+        expected_x = x0 - mu * g_delta(op, x0, y, delta, eta, c)
+        assert np.linalg.norm(x - expected_x) <= 1e-10 * np.linalg.norm(expected_x)
+        expected = [
+            wls_objective(op, x0, y, delta, eta, c),
+            np.linalg.norm(op.apply(x0) - y),
+            wls_objective(op, x, y, delta, eta, c),
+            np.linalg.norm(op.apply(x) - y),
+        ]
+        got = [objective, residual, objective_after, residual_after]
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0)
+
+    def test_delta_out_of_range_rejected(self, rng):
+        op, x, y = dense_instance(rng)
+        with pytest.raises(ValueError):
+            guide(op, x, y, -0.1, 0.1, 1.0, 1.0)
 
 
 class TestSchedules:

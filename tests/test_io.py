@@ -113,8 +113,13 @@ class TestConfigFormat:
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("# full line comment\n\nkey=value # trailing\nother = padded \n")
+        path.write_text("# full line comment\n\n  # indented comment\nkey=value\nother = padded \n")
         assert io.read_config(path) == {"key": "value", "other": "padded"}
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("output=/data/run#1/x.pgt\nnote=a # b\n")
+        assert io.read_config(path) == {"output": "/data/run#1/x.pgt", "note": "a # b"}
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import pgrestore.schemes as schemes
 from pgrestore.denoisers import Identity, WienerMMSE, WienerPrior
-from pgrestore.kernels import delta_kernel, gaussian_kernel
-from pgrestore.linops import CircularConvolution
+from pgrestore.kernels import bicubic_kernel, delta_kernel, gaussian_kernel
+from pgrestore.linops import CircularConvolution, DownsampleConvolution, Mask
 from pgrestore.metrics import NoiseSpec, degrade, psnr
 from pgrestore.schemes import (
     DiffusionSchedule,
@@ -16,7 +16,6 @@ from pgrestore.schemes import (
     make_ddpm_schedule,
     make_scheme_config,
     run_scheme,
-    x0_from_eps,
 )
 
 SHAPE = (1, 16, 16)
@@ -68,17 +67,6 @@ class TestSchedule:
 
 
 class TestPointwiseFormulas:
-    def test_x0_at_alpha_one(self, rng):
-        x_t = rng.standard_normal(SHAPE)
-        eps = rng.standard_normal(SHAPE)
-        np.testing.assert_array_equal(x0_from_eps(x_t, eps, 1.0), x_t)
-
-    def test_x0_zero_eps(self, rng):
-        x_t = rng.standard_normal(SHAPE)
-        np.testing.assert_allclose(
-            x0_from_eps(x_t, np.zeros(SHAPE), 0.25), x_t / 0.5, atol=1e-15
-        )
-
     def test_eps_effective_examples(self, rng):
         x_clean = rng.standard_normal(SHAPE)
         abar = 0.36
@@ -102,7 +90,7 @@ class TestPointwiseFormulas:
         rng = np.random.default_rng(11)
         x_t = rng.standard_normal(SHAPE)
         eps = rng.standard_normal(SHAPE)
-        x0 = x0_from_eps(x_t, eps, abar)
+        x0 = (x_t - np.sqrt(1.0 - abar) * eps) / np.sqrt(abar)
         np.testing.assert_allclose(eps_effective(x_t, x0, abar), eps, atol=1e-12)
 
 
@@ -224,6 +212,74 @@ class TestIDPG:
         cfg = make_scheme_config("idpg", make_ddpm_schedule(4), 0.0)
         with pytest.raises(RuntimeError, match=r"iteration t=4"):
             idpg_run(broken, op, y, cfg)
+
+
+class TestNonFinite:
+    @staticmethod
+    def nan_on_third_call(prior):
+        denoiser = WienerMMSE(prior)
+        calls = []
+
+        def flaky(x, sigma):
+            calls.append(sigma)
+            out = denoiser(x, sigma)
+            if len(calls) == 3:
+                out = out.copy()
+                out[0, 0, 0] = np.nan
+            return out
+
+        return flaky
+
+    @pytest.mark.parametrize("method", ["idpg", "ddpg"])
+    def test_nan_from_denoiser_names_iteration_and_stage(self, method):
+        op, prior, _, y = blur_setup(seed=25, sigma_e=0.05)
+        cfg = make_scheme_config(method, make_ddpm_schedule(6), 0.05)
+        with pytest.raises(RuntimeError, match=r"t=4, stage denoise"):
+            run_scheme(self.nan_on_third_call(prior), op, y, cfg)
+
+    @pytest.mark.parametrize("method", ["idpg", "ddpg"])
+    def test_overflowing_data_term_names_iteration_and_stage(self, method):
+        # finite denoiser output whose squared residual overflows
+        op, _, _, y = blur_setup(seed=27, sigma_e=0.05)
+        cfg = make_scheme_config(method, make_ddpm_schedule(6), 0.05)
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError, match=r"t=6, stage guide"):
+            run_scheme(lambda x, sigma: np.full(SHAPE, 1e200), op, y, cfg)
+
+
+@pytest.mark.parametrize("method", ["idpg", "ddpg"])
+@pytest.mark.parametrize("task,per_iteration", [("deblur", 12), ("sr2", 12), ("inpaint", 2)])
+def test_fft_calls_per_iteration(monkeypatch, method, task, per_iteration):
+    # Exact counts from the first denoiser call on: a guided step makes
+    # two residuals, two Gram solves and one adjoint (2 FFTs each for the
+    # spectral operators, none for a mask); the Wiener denoiser makes 2.
+    shape = (1, 32, 32)
+    prior = WienerPrior.smooth_default(shape[1:], amplitude=16.0)
+    x_star = prior.sample(np.random.default_rng(0))
+    if task == "deblur":
+        op = CircularConvolution(gaussian_kernel(5, 10.0), shape)
+    elif task == "sr2":
+        op = DownsampleConvolution(bicubic_kernel(2), 2, shape)
+    else:
+        op = Mask(np.random.default_rng(1).random(shape[1:]) < 0.5, shape)
+    y = degrade(op, x_star, NoiseSpec(0.05, seed=2))
+    cfg = make_scheme_config(method, make_ddpm_schedule(10), 0.05, seed=3)
+
+    calls = []
+    for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            if calls:
+                calls[0] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    denoiser = WienerMMSE(prior)
+
+    def start_counting(x, sigma):
+        if not calls:
+            calls.append(0)
+        return denoiser(x, sigma)
+
+    run_scheme(start_counting, op, y, cfg)
+    assert calls[0] == per_iteration * cfg.T
 
 
 class TestDDPG:
