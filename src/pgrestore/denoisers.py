@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .io import read_tensor, write_tensor
+from .linops import fourier_filter
 
 __all__ = [
     "Identity",
@@ -68,8 +69,7 @@ class GaussianSmooth:
         dx = np.minimum(np.arange(width), width - np.arange(width))
         taps = np.exp(-(dy[:, None] ** 2 + dx[None, :] ** 2) / (2.0 * h**2))
         taps /= taps.sum()
-        response = np.fft.fft2(taps)
-        return np.fft.ifft2(np.fft.fft2(x, axes=(-2, -1)) * response, axes=(-2, -1)).real
+        return fourier_filter(x, np.fft.fft2(taps))
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,7 @@ class WienerPrior:
     def sample(self, rng: np.random.Generator, channels: int = 1) -> np.ndarray:
         """Draw an image from the prior (spectral coloring of white noise)."""
         white = rng.standard_normal((channels,) + self.spectrum.shape)
-        colored = np.fft.ifft2(
-            np.sqrt(self.spectrum) * np.fft.fft2(white, axes=(-2, -1)), axes=(-2, -1)
-        ).real
-        return self.mean_image(channels) + colored
+        return self.mean_image(channels) + fourier_filter(white, np.sqrt(self.spectrum))
 
 
 class WienerMMSE:
@@ -141,8 +138,7 @@ class WienerMMSE:
             )
         mean = prior.mean_image(x.shape[0])
         shrink = prior.spectrum / (prior.spectrum + sigma**2)
-        centered = np.fft.fft2(x - mean, axes=(-2, -1))
-        return mean + np.fft.ifft2(shrink * centered, axes=(-2, -1)).real
+        return mean + fourier_filter(x - mean, shrink)
 
 
 class ExternalDenoiser:

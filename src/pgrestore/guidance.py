@@ -85,17 +85,17 @@ class GuidanceConfig:
         return len(self.delta)
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-
-
 def _weighted_residual(op: LinearOperator, x, y, delta: float, eta: float, c: float):
     """r = A x - y and W r, with W = (1 - delta)(A A^T + eta I)^-1 + delta c I.
 
     The endpoints skip the unused term, so at delta = 0 W r is exactly the
-    Gram solve and at delta = 1 exactly c r.
+    Gram solve and at delta = 1 exactly c r. Rejects delta outside [0, 1]
+    and c <= 0, for which W is not a valid weighting.
     """
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    if c <= 0:
+        raise ValueError(f"c must be positive, got {c}")
     r = op.apply(x) - np.asarray(y, dtype=float)
     if delta == 0.0:
         return r, op.solve_gram(r, eta)
@@ -111,14 +111,11 @@ def g_bp(op: LinearOperator, x, y, eta: float) -> np.ndarray:
 
 def g_ls(op: LinearOperator, x, y, c: float) -> np.ndarray:
     """Scaled least-squares gradient c A^T (A x - y)."""
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
     return op.apply_adjoint(_weighted_residual(op, x, y, 1.0, 0.0, c)[1])
 
 
 def g_delta(op: LinearOperator, x, y, delta: float, eta: float, c: float) -> np.ndarray:
     """Convex combination (1 - delta) g_bp + delta g_ls = A^T W (A x - y)."""
-    _check_delta(delta)
     return op.apply_adjoint(_weighted_residual(op, x, y, delta, eta, c)[1])
 
 
@@ -129,7 +126,6 @@ def wls_objective(op: LinearOperator, x, y, delta: float, eta: float, c: float) 
     returns (1/2) r^T W r, evaluated as an inner product rather than
     through a matrix square root.
     """
-    _check_delta(delta)
     r, w_r = _weighted_residual(op, x, y, delta, eta, c)
     return 0.5 * float(np.vdot(r, w_r))
 
@@ -141,7 +137,6 @@ def guide(op: LinearOperator, x0, y, delta: float, eta: float, c: float, mu: flo
     ``wls_objective`` and ||A x - y|| at x0, then at x. Each residual and
     each Gram solve is computed once.
     """
-    _check_delta(delta)
     r, w_r = _weighted_residual(op, x0, y, delta, eta, c)
     x = x0 - mu * op.apply_adjoint(w_r)
     r_after, w_r_after = _weighted_residual(op, x, y, delta, eta, c)

@@ -9,10 +9,14 @@ builds on:
     solve_gram(r, eta)     -> (A A^T + eta I)^-1 r
     apply_reg_pinv(z, eta) -> A^T (A A^T + eta I)^-1 z
 
-Circular convolution and downsample+convolution invert their Gram
-operator with closed-form frequency-domain divisions, masks are tight
-frames (A A^T = I, so the Gram solve is a scaling), and dense matrices
-use direct solves and exist for oracle-scale testing.
+Downsample+convolution inverts its Gram operator with a closed-form
+frequency-domain division; circular convolution is its stride-1 case.
+Masks are tight frames (A A^T = I, so the Gram solve is a scaling), and
+dense matrices use direct solves and exist for oracle-scale testing.
+
+``fourier_filter(x, response)`` holds the package's FFT convention (full
+``fft2`` over the last two axes, real part of the inverse); every
+Fourier-domain filter, here and in the denoisers, goes through it.
 
 Boundary handling is circular everywhere. Operators act channel-wise on
 (channels, height, width) arrays, are immutable after construction, and
@@ -32,6 +36,7 @@ __all__ = [
     "Mask",
     "DenseOperator",
     "estimate_spectral_norm",
+    "fourier_filter",
     "as_image",
     "SPECTRAL_ZERO_TOL",
     "DENSE_SIZE_CAP",
@@ -96,6 +101,15 @@ def _kernel_response(kernel: np.ndarray, grid_shape) -> np.ndarray:
     return np.fft.fft2(padded)
 
 
+def fourier_filter(x: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """Real part of ifft2(fft2(x) * response) over the last two axes.
+
+    The one place the package applies a Fourier-domain filter: ``response``
+    is given on the full fft2 frequency grid of ``x``.
+    """
+    return np.fft.ifft2(np.fft.fft2(x, axes=(-2, -1)) * response, axes=(-2, -1)).real
+
+
 def _check_invertible(gram_spectrum: np.ndarray, eta: float) -> None:
     """Reject eta = 0 when the Gram spectrum vanishes relative to its peak."""
     if eta == 0.0:
@@ -158,57 +172,16 @@ class LinearOperator:
         raise NotImplementedError
 
 
-class CircularConvolution(LinearOperator):
-    """Circular convolution with a 2-D kernel of odd side lengths.
-
-    The operator is square: measurements have the image's shape. The
-    Gram operator is diagonal in the Fourier basis, so the regularized
-    pseudoinverse is a per-frequency division by |F(k)|^2 + eta.
-    """
-
-    def __init__(self, kernel, image_shape):
-        kernel = np.array(kernel, dtype=float)
-        if kernel.ndim != 2:
-            raise ValueError("kernel must be 2-D")
-        if kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
-            raise ValueError(f"kernel sides must be odd, got {kernel.shape}")
-        if not np.isfinite(kernel).all():
-            raise ValueError("kernel contains non-finite entries")
-        if len(image_shape) != 3:
-            raise ValueError("image_shape must be (channels, height, width)")
-        self.input_shape = tuple(int(s) for s in image_shape)
-        self.output_shape = self.input_shape
-        self.kernel = _freeze(kernel)
-        self._response = _freeze(_kernel_response(kernel, self.input_shape[1:]))
-        self._power = _freeze(np.abs(self._response) ** 2)
-
-    @property
-    def frequency_response(self) -> np.ndarray:
-        return self._response
-
-    def _apply(self, x):
-        return np.fft.ifft2(np.fft.fft2(x, axes=(-2, -1)) * self._response,
-                            axes=(-2, -1)).real
-
-    def _apply_adjoint(self, r):
-        return np.fft.ifft2(np.fft.fft2(r, axes=(-2, -1)) * np.conj(self._response),
-                            axes=(-2, -1)).real
-
-    def _solve_gram(self, r, eta):
-        _check_invertible(self._power, eta)
-        return np.fft.ifft2(np.fft.fft2(r, axes=(-2, -1)) / (self._power + eta),
-                            axes=(-2, -1)).real
-
-
 class DownsampleConvolution(LinearOperator):
     """Anti-aliasing convolution followed by subsampling with stride ``scale``.
 
     Keeps pixels at indices (0, s, 2s, ...) after circularly convolving
-    with ``kernel``. The Gram operator A A^T is itself a circular
-    convolution on the coarse grid with ``gram_kernel``, the
-    stride-subsampled autocorrelation of the kernel, which makes the
-    regularized pseudoinverse a coarse-grid division followed by
-    zero-fill upsampling and adjoint filtering.
+    with ``kernel``. The Gram operator A A^T is a circular convolution on
+    the coarse grid whose spectrum is the mean of |F(k)|^2 over the s x s
+    fine-grid frequencies that alias to each coarse frequency, which makes
+    the regularized pseudoinverse a coarse-grid division followed by
+    zero-fill upsampling and adjoint filtering. With s = 1 that spectrum
+    is |F(k)|^2 itself and the operator is plain circular convolution.
     """
 
     def __init__(self, kernel, scale, image_shape):
@@ -220,6 +193,8 @@ class DownsampleConvolution(LinearOperator):
         scale = int(scale)
         if scale < 1:
             raise ValueError(f"scale must be a positive integer, got {scale}")
+        if len(image_shape) != 3:
+            raise ValueError("image_shape must be (channels, height, width)")
         c, h, w = (int(s) for s in image_shape)
         if h % scale or w % scale:
             raise ValueError(
@@ -230,27 +205,40 @@ class DownsampleConvolution(LinearOperator):
         self.scale = scale
         self.kernel = _freeze(kernel)
         self._response = _freeze(_kernel_response(kernel, (h, w)))
-        # Autocorrelation of the kernel on the fine grid, subsampled at the
-        # stride anchor: the coarse-grid convolution kernel of A A^T.
-        autocorr = np.fft.ifft2(np.abs(self._response) ** 2).real
-        self.gram_kernel = _freeze(autocorr[::scale, ::scale].copy())
-        self._gram_response = _freeze(np.fft.fft2(self.gram_kernel).real)
+        power = np.abs(self._response) ** 2
+        self._gram_response = _freeze(
+            power.reshape(scale, h // scale, scale, w // scale).sum(axis=(0, 2)) / scale**2
+        )
+
+    @property
+    def frequency_response(self) -> np.ndarray:
+        return self._response
 
     def _apply(self, x):
-        full = np.fft.ifft2(np.fft.fft2(x, axes=(-2, -1)) * self._response,
-                            axes=(-2, -1)).real
-        return full[..., :: self.scale, :: self.scale]
+        return fourier_filter(x, self._response)[..., :: self.scale, :: self.scale]
 
     def _apply_adjoint(self, r):
         up = np.zeros(r.shape[:-2] + self.input_shape[1:])
         up[..., :: self.scale, :: self.scale] = r
-        return np.fft.ifft2(np.fft.fft2(up, axes=(-2, -1)) * np.conj(self._response),
-                            axes=(-2, -1)).real
+        return fourier_filter(up, np.conj(self._response))
 
     def _solve_gram(self, r, eta):
         _check_invertible(self._gram_response, eta)
-        return np.fft.ifft2(np.fft.fft2(r, axes=(-2, -1)) / (self._gram_response + eta),
-                            axes=(-2, -1)).real
+        return fourier_filter(r, 1.0 / (self._gram_response + eta))
+
+
+class CircularConvolution(DownsampleConvolution):
+    """Circular convolution with a 2-D kernel of odd side lengths.
+
+    The stride-1 case of :class:`DownsampleConvolution`: measurements have
+    the image's shape and the Gram solve is a per-frequency division by
+    |F(k)|^2 + eta.
+    """
+
+    def __init__(self, kernel, image_shape):
+        if any(side % 2 == 0 for side in np.shape(kernel)):
+            raise ValueError(f"kernel sides must be odd, got {np.shape(kernel)}")
+        super().__init__(kernel, 1, image_shape)
 
 
 class Mask(LinearOperator):

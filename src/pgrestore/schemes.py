@@ -34,7 +34,7 @@ A single run is sequential; concurrent runs share nothing mutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -69,51 +69,39 @@ Denoiser = Callable[[np.ndarray, float], np.ndarray]
 class DiffusionSchedule:
     """Noise schedule: per-step beta and the cumulative products alpha_bar.
 
-    ``beta[i]`` is the step-t = i + 1 variance increment;
-    ``alpha_bar[t]`` equals prod_{s<=t}(1 - beta_s) with alpha_bar[0] = 1.
+    ``beta[i]`` is the step-t = i + 1 variance increment and must lie in
+    (0, 1), so that every alpha_bar is positive; ``alpha_bar[t]`` is
+    derived as prod_{s<=t}(1 - beta_s) with alpha_bar[0] = 1.
     """
 
     beta: np.ndarray
-    alpha_bar: np.ndarray
+    alpha_bar: np.ndarray = field(init=False)
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
-        abar = np.asarray(self.alpha_bar, dtype=float)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha_bar", abar)
         if beta.ndim != 1 or len(beta) < 1:
             raise ValueError("beta must be a non-empty 1-D array")
-        if np.any(beta <= 0) or np.any(beta > 1):
-            raise ValueError("beta values must lie in (0, 1]")
+        keep = 1.0 - beta
+        # Checked on 1 - beta: a beta too small to change it is rejected too.
+        if not np.all((keep > 0) & (keep < 1)):
+            raise ValueError("beta values must lie in (0, 1)")
         if np.any(np.diff(beta) < 0):
             raise ValueError("beta must be non-decreasing")
-        if len(abar) != len(beta) + 1 or abar[0] != 1.0:
-            raise ValueError("alpha_bar must have length T + 1 and start at 1")
-        if np.any(np.diff(abar) >= 0):
-            raise ValueError("alpha_bar must be strictly decreasing")
-        expected = np.concatenate(([1.0], np.cumprod(1.0 - beta)))
-        if not np.allclose(abar, expected, rtol=1e-12, atol=0):
-            raise ValueError("alpha_bar is inconsistent with beta")
+        object.__setattr__(self, "alpha_bar", np.concatenate(([1.0], np.cumprod(keep))))
 
     @property
     def T(self) -> int:
         return len(self.beta)
 
-    @property
-    def sigma(self) -> np.ndarray:
-        """Noise levels sqrt(1 - alpha_bar_t), t = 0..T."""
-        return np.sqrt(1.0 - self.alpha_bar)
-
 
 def make_ddpm_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> DiffusionSchedule:
-    """Linearly spaced beta schedule (inclusive endpoints) and its alpha_bar."""
+    """Linearly spaced beta schedule (inclusive endpoints)."""
     if T < 1:
         raise ValueError(f"T must be at least 1, got {T}")
-    if not 0 < beta_start <= beta_end <= 1:
-        raise ValueError(f"need 0 < beta_start <= beta_end <= 1, got {(beta_start, beta_end)}")
-    beta = np.linspace(beta_start, beta_end, T)
-    alpha_bar = np.concatenate(([1.0], np.cumprod(1.0 - beta)))
-    return DiffusionSchedule(beta=beta, alpha_bar=alpha_bar)
+    if not 0 < beta_start <= beta_end < 1:
+        raise ValueError(f"need 0 < beta_start <= beta_end < 1, got {(beta_start, beta_end)}")
+    return DiffusionSchedule(beta=np.linspace(beta_start, beta_end, T))
 
 
 def eps_effective(x_t: np.ndarray, x_clean: np.ndarray, alpha_bar_t: float) -> np.ndarray:
@@ -135,7 +123,6 @@ class SchemeConfig:
     w: np.ndarray
     zeta: float = 0.5
     seed: int = 0
-    step_size_policy: str = "unit"
 
     def __post_init__(self):
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
@@ -195,7 +182,6 @@ def make_scheme_config(
         w=w,
         zeta=float(zeta),
         seed=int(seed),
-        step_size_policy=step_size_policy,
     )
 
 

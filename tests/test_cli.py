@@ -128,6 +128,19 @@ class TestRestore:
         assert code == 2
         assert "missing_kernel.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["idbp", "idpg", "ddpg"])
+    def test_beta_end_one_is_validation_error(self, workspace, capsys, method):
+        # alpha_bar_T = 0 would hand the denoiser sigma_T = inf
+        self.degrade_identity(workspace)
+        code = main([
+            "restore", "--measurement", str(workspace / "y.pgt"),
+            "--output", str(workspace / "x.pgt"),
+            "--method", method, "--denoiser", "wiener", "--T", "4", "--beta-end", "1",
+        ])
+        assert code == 2
+        assert "beta" in capsys.readouterr().err
+        assert not (workspace / "x.pgt").exists()
+
     def test_idbp_equals_idpg_when_noiseless(self, workspace):
         self.degrade_identity(workspace)
         for method, out in (("idbp", "a.pgt"), ("idpg", "b.pgt")):

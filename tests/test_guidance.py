@@ -222,6 +222,20 @@ class TestGuide:
             guide(op, x, y, -0.1, 0.1, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda op, x, y, c: g_delta(op, x, y, 0.5, 0.1, c),
+    lambda op, x, y, c: wls_objective(op, x, y, 0.5, 0.1, c),
+    lambda op, x, y, c: guide(op, x, y, 0.5, 0.1, c, 1.0),
+], ids=["g_delta", "wls_objective", "guide"])
+def test_nonpositive_ls_scale_rejected(rng, call, c):
+    # with c <= 0 the weighting W is not positive definite, so the
+    # objective could go negative
+    op, x, y = dense_instance(rng)
+    with pytest.raises(ValueError, match="c must be positive"):
+        call(op, x, y, c)
+
+
 class TestSchedules:
     def test_noiseless_forces_pure_bp(self):
         delta, w = delta_schedule(np.array([0.9, 0.5, 0.1]), 7.0, 0.0)

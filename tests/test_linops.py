@@ -190,9 +190,11 @@ class TestRegPinv:
 
 
 class TestGramKernel:
-    def test_sr_gram_kernel_is_subsampled_autocorrelation(self, rng):
+    @pytest.mark.parametrize("scale", [1, 2, 4])
+    def test_sr_gram_kernel_is_subsampled_autocorrelation(self, rng, scale):
+        # A A^T is coarse-grid convolution with the stride-subsampled
+        # autocorrelation of the kernel, and solve_gram inverts A A^T + eta I
         kernel = rng.random((5, 5))
-        scale = 2
         op = DownsampleConvolution(kernel, scale, SHAPE)
         h, w = SHAPE[1:]
         padded = np.zeros((h, w))
@@ -202,7 +204,24 @@ class TestGramKernel:
         for d1 in range(h):
             for d2 in range(w):
                 autocorr[d1, d2] = np.sum(padded * np.roll(padded, (-d1, -d2), axis=(0, 1)))
-        np.testing.assert_allclose(op.gram_kernel, autocorr[::scale, ::scale], atol=1e-12)
+        impulse = np.zeros(op.output_shape)
+        impulse[0, 0, 0] = 1.0
+        np.testing.assert_allclose(op.apply(op.apply_adjoint(impulse))[0],
+                                   autocorr[::scale, ::scale], atol=1e-12)
+        z = rng.standard_normal(op.output_shape)
+        eta = 0.1
+        np.testing.assert_allclose(
+            op.solve_gram(op.apply(op.apply_adjoint(z)) + eta * z, eta), z, atol=1e-12)
+
+    def test_conv_is_stride_one_downsampling(self, rng):
+        kernel = rng.random((5, 3))
+        conv = CircularConvolution(kernel, SHAPE)
+        stride1 = DownsampleConvolution(kernel, 1, SHAPE)
+        x = rng.standard_normal(SHAPE)
+        assert conv.output_shape == stride1.output_shape == SHAPE
+        assert np.array_equal(conv.apply(x), stride1.apply(x))
+        assert np.array_equal(conv.apply_adjoint(x), stride1.apply_adjoint(x))
+        assert np.array_equal(conv.solve_gram(x, 0.05), stride1.solve_gram(x, 0.05))
 
     def test_sr_output_size(self):
         op = DownsampleConvolution(bicubic_kernel(4), 4, (3, 16, 16))
@@ -237,6 +256,14 @@ class TestConstruction:
     def test_sr_requires_divisible_sides(self):
         with pytest.raises(ValueError):
             DownsampleConvolution(bicubic_kernel(3), 3, SHAPE)
+
+    @pytest.mark.parametrize("make_op", [
+        lambda shape: CircularConvolution(delta_kernel(3), shape),
+        lambda shape: DownsampleConvolution(bicubic_kernel(2), 2, shape),
+    ], ids=["conv", "sr2"])
+    def test_two_dimensional_image_shape_rejected(self, make_op):
+        with pytest.raises(ValueError, match=r"\(channels, height, width\)"):
+            make_op((8, 8))
 
     def test_dense_size_cap(self, rng):
         with pytest.raises(ValueError):

@@ -46,10 +46,6 @@ class TestSchedule:
         sched = make_ddpm_schedule(2, 0.5, 0.5)
         np.testing.assert_allclose(sched.alpha_bar, [1.0, 0.5, 0.25], atol=1e-15)
 
-    def test_sigma_derivation(self):
-        sched = make_ddpm_schedule(3)
-        np.testing.assert_allclose(sched.sigma, np.sqrt(1.0 - sched.alpha_bar), atol=0)
-
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
             make_ddpm_schedule(0)
@@ -59,11 +55,21 @@ class TestSchedule:
             make_ddpm_schedule(10, 0.05, 0.02)
         with pytest.raises(ValueError):
             make_ddpm_schedule(10, 0.5, 1.5)
+        with pytest.raises(ValueError, match="beta_end < 1"):
+            make_ddpm_schedule(10, 0.01, 1.0)
 
-    def test_inconsistent_alpha_bar_rejected(self):
+    def test_alpha_bar_derived_from_beta(self):
         beta = np.array([0.1, 0.2])
-        with pytest.raises(ValueError):
+        sched = DiffusionSchedule(beta=beta)
+        np.testing.assert_array_equal(sched.alpha_bar, [1.0, 0.9, 0.9 * 0.8])
+        with pytest.raises(TypeError):
             DiffusionSchedule(beta=beta, alpha_bar=np.array([1.0, 0.9, 0.8]))
+
+    @pytest.mark.parametrize("beta", [[0.1, 1.0], [0.0, 0.1], [1e-17, 0.1]])
+    def test_beta_outside_open_unit_interval_rejected(self, beta):
+        # beta = 1 would make alpha_bar_T = 0 and the denoiser's sigma_T infinite
+        with pytest.raises(ValueError, match="beta"):
+            DiffusionSchedule(beta=np.array(beta))
 
 
 class TestPointwiseFormulas:
@@ -247,7 +253,8 @@ class TestNonFinite:
 
 
 @pytest.mark.parametrize("method", ["idpg", "ddpg"])
-@pytest.mark.parametrize("task,per_iteration", [("deblur", 12), ("sr2", 12), ("inpaint", 2)])
+@pytest.mark.parametrize("task,per_iteration", [
+    ("deblur", 12), ("sr2", 12), ("inpaint", 2), ("sr4", 12)])
 def test_fft_calls_per_iteration(monkeypatch, method, task, per_iteration):
     # Exact counts from the first denoiser call on: a guided step makes
     # two residuals, two Gram solves and one adjoint (2 FFTs each for the
@@ -257,8 +264,9 @@ def test_fft_calls_per_iteration(monkeypatch, method, task, per_iteration):
     x_star = prior.sample(np.random.default_rng(0))
     if task == "deblur":
         op = CircularConvolution(gaussian_kernel(5, 10.0), shape)
-    elif task == "sr2":
-        op = DownsampleConvolution(bicubic_kernel(2), 2, shape)
+    elif task in ("sr2", "sr4"):
+        scale = int(task[2])
+        op = DownsampleConvolution(bicubic_kernel(scale), scale, shape)
     else:
         op = Mask(np.random.default_rng(1).random(shape[1:]) < 0.5, shape)
     y = degrade(op, x_star, NoiseSpec(0.05, seed=2))
