@@ -17,12 +17,14 @@ eta I)^-1 r + delta c r. ``guide`` takes one guided step and returns the
 objective and residual before and after it, computing each residual and
 Gram solve once.
 
+The schedules (``delta_schedule``, ``mu_schedule``, ``eta_from_noise``)
+return plain numbers and arrays; :class:`pgrestore.schemes.SchemeConfig`
+holds a run's values and checks them once.
+
 All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .linops import LinearOperator, estimate_spectral_norm
 
 __all__ = [
     "ETA_FLOOR",
-    "GuidanceConfig",
     "g_bp",
     "g_ls",
     "g_delta",
@@ -44,45 +45,6 @@ __all__ = [
 
 # Lower bound applied to the BP regularizer derived from the noise level.
 ETA_FLOOR = 1e-4
-
-_MONOTONE_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class GuidanceConfig:
-    """Per-run guidance scalars and schedules.
-
-    ``mu`` and ``delta`` are arrays of length T; entry i applies at
-    iteration t = i + 1, so both run from the end of the scheme (t = 1)
-    to its start (t = T). ``delta`` must be non-increasing along t,
-    i.e. the mix moves monotonically from BP toward LS as t decreases.
-    """
-
-    eta: float
-    c: float
-    mu: np.ndarray
-    delta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-        object.__setattr__(self, "delta", np.asarray(self.delta, dtype=float))
-        if self.eta < 0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if self.mu.ndim != 1 or self.delta.ndim != 1 or len(self.mu) != len(self.delta):
-            raise ValueError("mu and delta must be 1-D arrays of equal length")
-        # The ddim-ratio policy yields mu = 0 at t = 1, so zero is allowed.
-        if np.any(self.mu < 0):
-            raise ValueError("step sizes must be nonnegative")
-        if np.any(self.delta < 0) or np.any(self.delta > 1):
-            raise ValueError("delta values must lie in [0, 1]")
-        if np.any(np.diff(self.delta) > _MONOTONE_SLACK):
-            raise ValueError("delta must be non-increasing in t")
-
-    @property
-    def steps(self) -> int:
-        return len(self.delta)
 
 
 def _weighted_residual(op: LinearOperator, x, y, delta: float, eta: float, c: float):

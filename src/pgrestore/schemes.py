@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .guidance import GuidanceConfig, delta_schedule, eta_from_noise, guide, mu_schedule
+from .guidance import delta_schedule, eta_from_noise, guide, mu_schedule
 # Unused here; perfbench/spans.py patches both names on this module and fails without them.
 from .guidance import g_delta, wls_objective  # noqa: F401
 from .linops import LinearOperator
@@ -63,6 +63,8 @@ METHODS = ("idpg", "idbp", "pgm_ls", "ddpg")
 
 # A denoiser is any callable D(x, sigma) -> estimate of the clean image.
 Denoiser = Callable[[np.ndarray, float], np.ndarray]
+
+_MONOTONE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,27 +117,53 @@ def eps_effective(x_t: np.ndarray, x_clean: np.ndarray, alpha_bar_t: float) -> n
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Everything a restoration run needs besides the operator and denoiser."""
+    """Everything a restoration run needs besides the operator and denoiser.
+
+    ``eta`` is the BP regularizer and ``c`` the LS scale of the guidance
+    weighting. ``mu`` (step sizes), ``delta`` (BP-to-LS mix) and ``w``
+    (DDPG effective-noise weights) are arrays of length T; entry i applies
+    at iteration t = i + 1. ``delta`` must be non-increasing along t, i.e.
+    the mix moves monotonically from BP toward LS as t decreases. idbp
+    pins delta = 0 and pgm_ls pins delta = 1. ``zeta`` is DDPG's share of
+    fresh noise and ``seed`` its random stream.
+    """
 
     method: str
     schedule: DiffusionSchedule
-    guidance: GuidanceConfig
+    eta: float
+    c: float
+    mu: np.ndarray
+    delta: np.ndarray
     w: np.ndarray
     zeta: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
+        T = self.schedule.T
+        for name in ("mu", "delta", "w"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if values.shape != (T,):
+                raise ValueError(f"{name} must have shape ({T},) to match T, got {values.shape}")
+            object.__setattr__(self, name, values)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.eta < 0:
+            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if self.c <= 0:
+            raise ValueError(f"c must be positive, got {self.c}")
+        # The ddim-ratio policy yields mu = 0 at t = 1, so zero is allowed.
+        if np.any(self.mu < 0):
+            raise ValueError("step sizes must be nonnegative")
+        if np.any(self.delta < 0) or np.any(self.delta > 1):
+            raise ValueError("delta values must lie in [0, 1]")
+        if np.any(np.diff(self.delta) > _MONOTONE_SLACK):
+            raise ValueError("delta must be non-increasing in t")
+        if self.method == "idbp" and np.any(self.delta != 0.0):
+            raise ValueError("idbp requires delta identically 0")
+        if self.method == "pgm_ls" and np.any(self.delta != 1.0):
+            raise ValueError("pgm_ls requires delta identically 1")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError(f"zeta must lie in [0, 1], got {self.zeta}")
-        if self.guidance.steps != self.schedule.T or len(self.w) != self.schedule.T:
-            raise ValueError("schedule, guidance and w lengths disagree")
-        if self.method == "idbp" and np.any(self.guidance.delta != 0.0):
-            raise ValueError("idbp requires delta identically 0")
-        if self.method == "pgm_ls" and np.any(self.guidance.delta != 1.0):
-            raise ValueError("pgm_ls requires delta identically 1")
 
     @property
     def T(self) -> int:
@@ -173,12 +201,13 @@ def make_scheme_config(
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if eta is None:
         eta = eta_from_noise(sigma_e, eta_tilde)
-    mu = mu_schedule(schedule.alpha_bar, step_size_policy)
-    guidance = GuidanceConfig(eta=float(eta), c=float(c), mu=mu, delta=delta)
     return SchemeConfig(
         method=method,
         schedule=schedule,
-        guidance=guidance,
+        eta=float(eta),
+        c=float(c),
+        mu=mu_schedule(schedule.alpha_bar, step_size_policy),
+        delta=delta,
         w=w,
         zeta=float(zeta),
         seed=int(seed),
@@ -225,10 +254,10 @@ def _denoiser_step(denoiser, x, sigma, t):
     return out
 
 
-def _guide_step(op, x0, y, g: GuidanceConfig, t):
+def _guide_step(op, x0, y, cfg: SchemeConfig, t):
     """Guided estimate and its trace row; raises if the data term is not finite."""
-    delta_t = float(g.delta[t - 1])
-    x, *numbers = guide(op, x0, y, delta_t, g.eta, g.c, g.mu[t - 1])
+    delta_t = float(cfg.delta[t - 1])
+    x, *numbers = guide(op, x0, y, delta_t, cfg.eta, cfg.c, cfg.mu[t - 1])
     if not np.isfinite(numbers).all():
         raise RuntimeError(
             f"non-finite iterate at iteration t={t}, stage guide "
@@ -244,14 +273,14 @@ def idpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     with the run trace. Deterministic given its arguments.
     """
     y = np.asarray(y, dtype=float)
-    sched, g = cfg.schedule, cfg.guidance
-    x = op.apply_reg_pinv(y, g.eta)
+    sched = cfg.schedule
+    x = op.apply_reg_pinv(y, cfg.eta)
     rows = []
     for t in range(sched.T, 0, -1):
         abar = sched.alpha_bar[t]
         sigma_t = float(np.sqrt((1.0 - abar) / abar))
         x0 = _denoiser_step(denoiser, x, sigma_t, t)
-        x, row = _guide_step(op, x0, y, g, t)
+        x, row = _guide_step(op, x0, y, cfg, t)
         rows.append(row)
     return x, RunTrace.from_rows(rows)
 
@@ -267,7 +296,7 @@ def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     only source of randomness, so equal seeds give bit-identical runs.
     """
     y = np.asarray(y, dtype=float)
-    sched, g = cfg.schedule, cfg.guidance
+    sched = cfg.schedule
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal(op.input_shape)
     sqrt_keep = np.sqrt(1.0 - cfg.zeta)
@@ -278,7 +307,7 @@ def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
         abar_prev = sched.alpha_bar[t - 1]
         sigma_t = float(np.sqrt((1.0 - abar) / abar))
         x0 = _denoiser_step(denoiser, x / np.sqrt(abar), sigma_t, t)
-        x_guided, row = _guide_step(op, x0, y, g, t)
+        x_guided, row = _guide_step(op, x0, y, cfg, t)
         rows.append(row)
         eps_hat = eps_effective(x, x_guided, abar)
         eps = rng.standard_normal(op.input_shape)

@@ -204,13 +204,13 @@ def _spectral_data(p: TikhonovProblem):
     return lam, gamma2, v
 
 
-def _mode_weights(mode: str, lam: np.ndarray, delta: float, c: float) -> np.ndarray:
-    """Eigenvalues s_i of W on A's left singular basis (eta = 0 forms)."""
+def _mode_weights(mode: str, lam: np.ndarray, delta: float, eta: float, c: float) -> np.ndarray:
+    """Eigenvalues s_i of W on A's left singular basis."""
     if mode == "ls":
         return np.ones_like(lam)
     if mode == "bp":
-        return 1.0 / lam**2
-    return (1.0 - delta) / lam**2 + delta * c
+        return 1.0 / (lam**2 + eta)
+    return (1.0 - delta) / (lam**2 + eta) + delta * c
 
 
 def bias_variance_closed_form(p: TikhonovProblem, mode: str) -> tuple[float, float]:
@@ -224,12 +224,12 @@ def bias_variance_closed_form(p: TikhonovProblem, mode: str) -> tuple[float, flo
         v   = sigma_e^2 sum_i l_i^2 s_i^2 / (l_i^2 s_i + beta g_i^2)^2
 
     The null-space bias term counts the energy of x* that no data term
-    can see. Uses the eta = 0 weight forms, matching the theorem.
+    can see. The weights use the problem's eta, which is 0 in the theorem.
     """
     mode = _normalize_mode(mode)
     lam, gamma2, v = _spectral_data(p)
     m = p.shape[0]
-    s = _mode_weights(mode, lam, p.delta, p.c)
+    s = _mode_weights(mode, lam, p.delta, p.eta, p.c)
     coeffs = p.beta_prior * gamma2 / (lam**2 * s + p.beta_prior * gamma2)
     z_range = v[:, :m].T @ p.x_star
     null_energy = float(p.x_star @ p.x_star - z_range @ z_range)
@@ -267,6 +267,8 @@ def mc_bias_variance(
     with sigma_e = 0 remain comparable.
     """
     mode = _normalize_mode(mode)
+    if n_draws < 2:
+        raise ValueError(f"need at least 2 Monte-Carlo draws, got {n_draws}")
     rng = np.random.default_rng(seed)
     w = data_weight_matrix(p, mode)
     hessian = p.a_matrix.T @ w @ p.a_matrix + p.beta_prior * p.d_matrix.T @ p.d_matrix
@@ -278,16 +280,16 @@ def mc_bias_variance(
     center = estimates.mean(axis=0)
     deviations = estimates - center
     dev_sq = np.einsum("ij,ij->i", deviations, deviations)
-    var_hat = float(dev_sq.sum() / max(n_draws - 1, 1))
-    se_var = float(dev_sq.std(ddof=1) / np.sqrt(n_draws)) if n_draws > 1 else 0.0
+    var_hat = float(dev_sq.sum() / (n_draws - 1))
+    se_var = float(dev_sq.std(ddof=1) / np.sqrt(n_draws))
     mean_err = center - p.x_star
     bias_sq_hat = float(mean_err @ mean_err) - var_hat / n_draws
     q = deviations @ mean_err
-    se_bias = float(2.0 * q.std(ddof=1) / np.sqrt(n_draws)) if n_draws > 1 else 0.0
+    se_bias = float(2.0 * q.std(ddof=1) / np.sqrt(n_draws))
     err = estimates - p.x_star
     err_sq = np.einsum("ij,ij->i", err, err)
     mse_hat = float(err_sq.mean())
-    se_mse = float(err_sq.std(ddof=1) / np.sqrt(n_draws)) if n_draws > 1 else 0.0
+    se_mse = float(err_sq.std(ddof=1) / np.sqrt(n_draws))
     floor = 1e-9
     return MCBiasVariance(
         bias_sq=bias_sq_hat,
@@ -635,9 +637,7 @@ BATTERY_CHECKS = {
 def run_verifier_battery(selection=None, **overrides) -> list[CheckResult]:
     """Run the named checks (all of them by default) with fixed seeds."""
     names = list(BATTERY_CHECKS) if selection is None else list(selection)
-    results = []
     for name in names:
         if name not in BATTERY_CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {sorted(BATTERY_CHECKS)}")
-        results.append(BATTERY_CHECKS[name](**overrides.get(name, {})))
-    return results
+    return [BATTERY_CHECKS[name](**overrides.get(name, {})) for name in names]

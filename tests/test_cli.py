@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import time
 
@@ -30,6 +31,53 @@ def workspace(tmp_path):
     io.write_mask(tmp_path / "mask.txt", mask)
     write_sample_image(tmp_path / "source.pgm")
     return tmp_path
+
+
+def subcommand_flags(name):
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for action in subparsers.choices[name]._actions for flag in action.option_strings}
+
+
+class TestSurface:
+    def test_degrade_flags(self):
+        assert subcommand_flags("degrade") == {
+            "-h", "--help", "--input", "--output", "--task", "--kernel", "--scale", "--mask",
+            "--sigma-e", "--seed", "--config",
+        }
+
+    def test_restore_flags(self):
+        assert subcommand_flags("restore") == {
+            "-h", "--help", "--measurement", "--sidecar", "--output", "--method", "--denoiser",
+            "--task", "--kernel", "--scale", "--mask", "--sigma-e", "--gamma", "--zeta",
+            "--eta-tilde", "--c", "--T", "--beta-start", "--beta-end", "--seed",
+            "--step-size-policy", "--export-image", "--config",
+        }
+
+    @pytest.mark.parametrize("argv,bad", [
+        (["restore", "--method", "bogus"], "bogus"),
+        (["restore", "--step-size-policy", "nope"], "nope"),
+        (["restore", "--config", "{config}"], "bogus"),
+        (["degrade", "--task", "bogus"], "bogus"),
+    ])
+    def test_bad_value_is_validation_error(self, workspace, capsys, argv, bad):
+        main([
+            "degrade", "--input", str(workspace / "source.pgm"),
+            "--output", str(workspace / "y.pgt"),
+            "--task", "deblur", "--kernel", str(workspace / "gauss.txt"),
+        ])
+        (workspace / "bad.cfg").write_text("method=bogus\n")
+        paths = {
+            "restore": ["--measurement", str(workspace / "y.pgt"), "--T", "4"],
+            "degrade": ["--input", str(workspace / "source.pgm")],
+        }[argv[0]]
+        out = workspace / "out.pgt"
+        argv = [arg.format(config=workspace / "bad.cfg") for arg in argv]
+        capsys.readouterr()
+        code = main(argv + paths + ["--output", str(out)])
+        assert code == 2
+        assert repr(bad) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDegrade:
@@ -318,6 +366,12 @@ class TestVerify:
 
     def test_unknown_claim_is_validation_error(self, capsys):
         assert main(["verify", "--claims", "9"]) == 2
+
+    @pytest.mark.parametrize("draws", ["0", "1"])
+    def test_too_few_mc_draws_is_validation_error(self, capsys, draws):
+        assert main(["verify", "--claims", "theorem1", "--mc-draws", draws]) == 2
+        err = capsys.readouterr().err
+        assert "draws" in err and f"got {draws}" in err
 
     def test_full_battery_passes(self, capsys):
         # default Monte-Carlo draw count: the committed seed is calibrated for it

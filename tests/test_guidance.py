@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from pgrestore.guidance import (
     ETA_FLOOR,
-    GuidanceConfig,
     default_ls_scale,
     delta_schedule,
     eta_from_noise,
@@ -271,18 +270,6 @@ class TestSchedules:
         np.testing.assert_allclose(ratio, [0.0, 0.1 / 0.3, 0.3 / 0.6], atol=1e-15)
         with pytest.raises(ValueError):
             mu_schedule(abar, "nope")
-
-    def test_config_validation(self):
-        good = GuidanceConfig(eta=0.1, c=1.0, mu=np.ones(3), delta=np.array([0.9, 0.5, 0.1]))
-        assert good.steps == 3
-        with pytest.raises(ValueError):
-            GuidanceConfig(eta=-1.0, c=1.0, mu=np.ones(3), delta=np.zeros(3))
-        with pytest.raises(ValueError):
-            GuidanceConfig(eta=0.0, c=0.0, mu=np.ones(3), delta=np.zeros(3))
-        with pytest.raises(ValueError):  # increasing in t
-            GuidanceConfig(eta=0.0, c=1.0, mu=np.ones(3), delta=np.array([0.1, 0.5, 0.9]))
-        with pytest.raises(ValueError):
-            GuidanceConfig(eta=0.0, c=1.0, mu=np.ones(3), delta=np.array([1.5, 0.5, 0.1]))
 
 
 def test_default_ls_scale(rng):

@@ -10,6 +10,7 @@ from pgrestore.linops import CircularConvolution, DownsampleConvolution, Mask
 from pgrestore.metrics import NoiseSpec, degrade, psnr
 from pgrestore.schemes import (
     DiffusionSchedule,
+    SchemeConfig,
     ddpg_run,
     eps_effective,
     idpg_run,
@@ -104,20 +105,20 @@ class TestSchemeConfig:
     def test_method_endpoint_pins(self):
         sched = make_ddpm_schedule(10)
         idbp = make_scheme_config("idbp", sched, 0.05)
-        assert np.all(idbp.guidance.delta == 0.0)
+        assert np.all(idbp.delta == 0.0)
         pgm = make_scheme_config("pgm_ls", sched, 0.05)
-        assert np.all(pgm.guidance.delta == 1.0)
+        assert np.all(pgm.delta == 1.0)
 
     def test_idpg_noisy_schedule(self):
         sched = make_ddpm_schedule(10)
         cfg = make_scheme_config("idpg", sched, 0.05, gamma=8.0)
-        np.testing.assert_array_equal(cfg.guidance.delta, sched.alpha_bar[1:] ** 8.0)
-        assert cfg.guidance.eta == pytest.approx(max(1e-4, 4 * 0.05**2 * 0.7))
+        np.testing.assert_array_equal(cfg.delta, sched.alpha_bar[1:] ** 8.0)
+        assert cfg.eta == pytest.approx(max(1e-4, 4 * 0.05**2 * 0.7))
 
     def test_noiseless_idpg_is_pure_bp(self):
         sched = make_ddpm_schedule(10)
         cfg = make_scheme_config("idpg", sched, 0.0)
-        assert np.all(cfg.guidance.delta == 0.0)
+        assert np.all(cfg.delta == 0.0)
         assert np.all(cfg.w == 1.0)
 
     def test_zeta_range_checked(self):
@@ -128,6 +129,23 @@ class TestSchemeConfig:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             make_scheme_config("magic", make_ddpm_schedule(5), 0.0)
+
+    def test_config_validation(self):
+        sched = make_ddpm_schedule(3)
+        good = dict(method="idpg", schedule=sched, eta=0.1, c=1.0, mu=np.ones(3),
+                    delta=np.array([0.9, 0.5, 0.1]), w=np.ones(3))
+        assert SchemeConfig(**good).T == 3
+        for bad, message in (
+            (dict(eta=-1.0), "eta must be nonnegative"),
+            (dict(c=0.0), "c must be positive"),
+            (dict(c=-1.0), "c must be positive"),
+            (dict(mu=np.array([1.0, -0.5, 1.0])), "step sizes"),
+            (dict(w=np.ones(4)), "w must have shape"),
+            (dict(delta=np.array([0.1, 0.5, 0.9])), "non-increasing"),  # increasing in t
+            (dict(delta=np.array([1.5, 0.5, 0.1])), r"\[0, 1\]"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                SchemeConfig(**{**good, **bad})
 
 
 class TestIDPG:
@@ -170,7 +188,7 @@ class TestIDPG:
         cfg = make_scheme_config("idbp", sched, 0.05, eta_tilde=0.7)
         x, _ = idpg_run(denoiser, op, y, cfg)
 
-        eta = cfg.guidance.eta
+        eta = cfg.eta
         ref = op.apply_reg_pinv(y, eta)
         for t in range(sched.T, 0, -1):
             abar = sched.alpha_bar[t]
@@ -185,7 +203,7 @@ class TestIDPG:
         cfg = make_scheme_config("pgm_ls", sched, 0.05, c=1.0)
         x, _ = idpg_run(denoiser, op, y, cfg)
 
-        ref = op.apply_reg_pinv(y, cfg.guidance.eta)
+        ref = op.apply_reg_pinv(y, cfg.eta)
         for t in range(sched.T, 0, -1):
             abar = sched.alpha_bar[t]
             x0 = denoiser(ref, float(np.sqrt((1 - abar) / abar)))
@@ -351,8 +369,8 @@ class TestDDPG:
     def test_ddim_ratio_policy_zero_final_step(self):
         sched = make_ddpm_schedule(10)
         cfg = make_scheme_config("ddpg", sched, 0.05, step_size_policy="ddim-ratio")
-        assert cfg.guidance.mu[0] == 0.0
-        assert np.all(cfg.guidance.mu[1:] > 0)
+        assert cfg.mu[0] == 0.0
+        assert np.all(cfg.mu[1:] > 0)
 
 
 def test_trace_export_format(tmp_path):

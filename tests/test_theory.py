@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,22 @@ class TestBiasVariance:
             assert abs(mc.bias_sq - closed_b2) <= 3.0 * mc.se_bias_sq
             assert abs(mc.var - closed_v) <= 3.0 * mc.se_var
             assert abs(mc.mse - (closed_b2 + closed_v)) <= 3.0 * mc.se_mse
+
+    @pytest.mark.parametrize("seed", [6, 7, 8])
+    def test_monte_carlo_agreement_with_eta(self, seed):
+        # the closed form must use the (lambda^2 + eta) weights that the estimator uses
+        p = dataclasses.replace(small_problem(seed), eta=0.1)
+        for mode in ("ls", "bp", "wls"):
+            closed_b2, closed_v = bias_variance_closed_form(p, mode)
+            mc = mc_bias_variance(p, mode, n_draws=20000, seed=99)
+            assert abs(mc.bias_sq - closed_b2) <= 3.0 * mc.se_bias_sq
+            assert abs(mc.var - closed_v) <= 3.0 * mc.se_var
+            assert abs(mc.mse - (closed_b2 + closed_v)) <= 3.0 * mc.se_mse
+
+    @pytest.mark.parametrize("n_draws", [0, 1])
+    def test_fewer_than_two_draws_rejected(self, n_draws):
+        with pytest.raises(ValueError, match=f"got {n_draws}$"):
+            mc_bias_variance(small_problem(6), "wls", n_draws=n_draws)
 
     def test_mse_is_bias_plus_variance(self):
         p = small_problem(7)
