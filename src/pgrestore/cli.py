@@ -37,7 +37,7 @@ DEGRADE_OPTIONS = {
     "output": (str, None, "measurement tensor (.pgt)"),
     "task": (str, None, "deblur | sr | inpaint"),
     "kernel": (str, None, "kernel text file (deblur, sr)"),
-    "scale": (int, 2, "downsampling factor (sr)"),
+    "scale": (int, None, "downsampling factor (required for sr)"),
     "mask": (str, None, "mask text file (inpaint)"),
     "sigma_e": (float, 0.0, "measurement noise standard deviation"),
     "seed": (int, 0, "noise seed"),

@@ -15,7 +15,12 @@ weight interpolates between the Gram inverse and a scaled identity;
 roots. All four go through one weighting W r = (1 - delta)(A A^T +
 eta I)^-1 r + delta c r. ``guide`` takes one guided step and returns the
 objective and residual before and after it, computing each residual and
-Gram solve once.
+Gram solve once; it is the reference for every faster form.
+
+``make_guided_step`` builds the step a run takes T times, for a fixed y:
+blur and downsampling operators get their Fourier-domain form (one fft2
+and one ifft2 per step, equal to ``guide`` up to rounding), and every
+other operator calls ``guide``.
 
 The schedules (``delta_schedule``, ``mu_schedule``, ``eta_from_noise``)
 return plain numbers and arrays; :class:`pgrestore.schemes.SchemeConfig`
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linops import LinearOperator, estimate_spectral_norm
+from .linops import DownsampleConvolution, LinearOperator, _check_shape, estimate_spectral_norm
 
 __all__ = [
     "ETA_FLOOR",
@@ -37,6 +42,7 @@ __all__ = [
     "g_delta",
     "wls_objective",
     "guide",
+    "make_guided_step",
     "delta_schedule",
     "eta_from_noise",
     "mu_schedule",
@@ -104,6 +110,39 @@ def guide(op: LinearOperator, x0, y, delta: float, eta: float, c: float, mu: flo
     r_after, w_r_after = _weighted_residual(op, x, y, delta, eta, c)
     return (x, 0.5 * float(np.vdot(r, w_r)), float(np.linalg.norm(r)),
             0.5 * float(np.vdot(r_after, w_r_after)), float(np.linalg.norm(r_after)))
+
+
+def make_guided_step(op: LinearOperator, y, eta: float, c: float):
+    """Build the guided step of one run, for a fixed y.
+
+    ``step(x0, delta, mu)`` returns what ``guide(op, x0, y, delta, eta,
+    c, mu)`` returns. Checks y's shape, eta >= 0 and c > 0 here, and
+    delta in [0, 1] and x0's shape on every call. A
+    :class:`DownsampleConvolution` (circular convolution included) takes
+    its Fourier-domain form, which equals ``guide`` up to rounding with
+    one fft2 and one ifft2 per call; every other operator calls ``guide``
+    itself.
+    """
+    y = np.asarray(y, dtype=float)
+    _check_shape("measurement", y, op.output_shape)
+    if eta < 0:
+        raise ValueError(f"eta must be nonnegative, got {eta}")
+    if c <= 0:
+        raise ValueError(f"c must be positive, got {c}")
+    if isinstance(op, DownsampleConvolution):
+        take_step = op.fourier_guided_step(y, eta, c)
+    else:
+        def take_step(x0, delta, mu):
+            return guide(op, x0, y, delta, eta, c, mu)
+
+    def step(x0, delta, mu):
+        if not 0.0 <= delta <= 1.0:
+            raise ValueError(f"delta must lie in [0, 1], got {delta}")
+        x0 = np.asarray(x0, dtype=float)
+        _check_shape("input", x0, op.input_shape)
+        return take_step(x0, delta, mu)
+
+    return step
 
 
 def delta_schedule(alpha_bar, gamma: float, sigma_e: float):

@@ -15,8 +15,13 @@ Masks are tight frames (A A^T = I, so the Gram solve is a scaling), and
 dense matrices use direct solves and exist for oracle-scale testing.
 
 ``fourier_filter(x, response)`` holds the package's FFT convention (full
-``fft2`` over the last two axes, real part of the inverse); every
-Fourier-domain filter, here and in the denoisers, goes through it.
+``fft2`` over the last two axes, real part of the inverse); the operator
+primitives and the denoisers filter through it.
+``DownsampleConvolution.fourier_guided_step`` keeps that convention but
+takes its two transforms itself: it is the whole guided step of
+:func:`pgrestore.guidance.guide` for one measurement, with the residual,
+the weighting and both data-term numbers formed on the coarse frequency
+grid, so a step costs one fft2 and one ifft2.
 
 Boundary handling is circular everywhere. Operators act channel-wise on
 (channels, height, width) arrays, are immutable after construction, and
@@ -225,6 +230,65 @@ class DownsampleConvolution(LinearOperator):
     def _solve_gram(self, r, eta):
         _check_invertible(self._gram_response, eta)
         return fourier_filter(r, 1.0 / (self._gram_response + eta))
+
+    def fourier_guided_step(self, y, eta, c):
+        """``guidance.guide`` in the Fourier domain, for this operator and a fixed y.
+
+        Returns ``step(x0, delta, mu) -> (x, objective, residual,
+        objective_after, residual_after)``, equal to ``guide(self, x0, y,
+        delta, eta, c, mu)`` up to rounding. With R = fold(H F(x0)) / s^2
+        - F(y), where fold sums each alias group, the weighting W is the
+        per-frequency weight (1 - delta)/(G + eta) + delta c, the residual
+        after the step is R - mu G W R, and both objectives and residuals
+        follow by Parseval; a call takes one fft2 and one ifft2.
+        Arguments are not checked here: ``guidance.make_guided_step`` does.
+        """
+        s = self.scale
+        channels, h, w = self.input_shape
+        hc, wc = h // s, w // s
+        groups = (channels, s, hc, s, wc)
+        size = hc * wc
+        response, gram = self._response, self._gram_response
+        y_hat = np.fft.fft2(y, axes=(-2, -1))
+        inverse = None
+
+        def weight(delta):
+            # Exactly c at delta = 1, so a vanishing G + eta never meets 0 * inf.
+            nonlocal inverse
+            if delta == 1.0:
+                return c
+            if inverse is None:
+                _check_invertible(gram, eta)
+                inverse = 1.0 / (gram + eta)
+            if delta == 0.0:
+                return inverse
+            return (1.0 - delta) * inverse + delta * c
+
+        def data_term(r, weights):
+            power = r.real**2
+            power += r.imag**2
+            residual = float(np.sqrt(power.sum() / size))
+            power *= weights
+            return [0.5 * float(power.sum()) / size, residual]
+
+        def step(x0, delta, mu):
+            # R = fold(H F(x0)) / s^2 - F(y) on the coarse grid, and W R.
+            r = (np.fft.fft2(x0, axes=(-2, -1)) * response).reshape(groups).sum(axis=(1, 3))
+            r /= s * s
+            r -= y_hat
+            weights = weight(delta)
+            w_r = weights * r
+            numbers = data_term(r, weights)
+            r *= 1.0 - mu * gram * weights  # R - mu G W R: the residual after the step
+            numbers += data_term(r, weights)
+            # Each buffer is freed once used: the transforms set the peak memory.
+            del r
+            back = np.conj(response).reshape(groups[1:]) * w_r[:, None, :, None, :]
+            del w_r
+            x = x0 - mu * np.fft.ifft2(back.reshape(x0.shape), axes=(-2, -1)).real
+            return (x, *numbers)
+
+        return step
 
 
 class CircularConvolution(DownsampleConvolution):

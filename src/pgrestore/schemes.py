@@ -2,11 +2,13 @@
 
 Both loops alternate a Gaussian denoiser with a guidance step whose
 direction moves from back-projection to least squares as iterations
-proceed (see :mod:`pgrestore.guidance`). IDPG is fully deterministic;
-its endpoint configurations reproduce IDBP (pure BP, delta = 0) and a
-plain proximal-gradient LS scheme (delta = 1). DDPG re-noises each
-guided estimate with a seeded mix of the effective predicted noise and
-fresh Gaussian noise.
+proceed (see :mod:`pgrestore.guidance`). Each run builds its step once,
+with ``make_guided_step``, so blur and downsampling runs take the
+Fourier-domain step (two FFTs per iteration besides the denoiser's).
+IDPG is fully deterministic; its endpoint configurations reproduce IDBP
+(pure BP, delta = 0) and a plain proximal-gradient LS scheme (delta =
+1). DDPG re-noises each guided estimate with a seeded mix of the
+effective predicted noise and fresh Gaussian noise.
 
 Conventions baked in here and surfaced in the docstrings:
 
@@ -40,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .guidance import delta_schedule, eta_from_noise, guide, mu_schedule
+from .guidance import delta_schedule, eta_from_noise, make_guided_step, mu_schedule
 # Unused here; perfbench/spans.py patches both names on this module and fails without them.
 from .guidance import g_delta, wls_objective  # noqa: F401
 from .linops import LinearOperator
@@ -254,10 +256,10 @@ def _denoiser_step(denoiser, x, sigma, t):
     return out
 
 
-def _guide_step(op, x0, y, cfg: SchemeConfig, t):
+def _guide_step(step, x0, cfg: SchemeConfig, t):
     """Guided estimate and its trace row; raises if the data term is not finite."""
     delta_t = float(cfg.delta[t - 1])
-    x, *numbers = guide(op, x0, y, delta_t, cfg.eta, cfg.c, cfg.mu[t - 1])
+    x, *numbers = step(x0, delta_t, cfg.mu[t - 1])
     if not np.isfinite(numbers).all():
         raise RuntimeError(
             f"non-finite iterate at iteration t={t}, stage guide "
@@ -274,13 +276,14 @@ def idpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     """
     y = np.asarray(y, dtype=float)
     sched = cfg.schedule
+    step = make_guided_step(op, y, cfg.eta, cfg.c)
     x = op.apply_reg_pinv(y, cfg.eta)
     rows = []
     for t in range(sched.T, 0, -1):
         abar = sched.alpha_bar[t]
         sigma_t = float(np.sqrt((1.0 - abar) / abar))
         x0 = _denoiser_step(denoiser, x, sigma_t, t)
-        x, row = _guide_step(op, x0, y, cfg, t)
+        x, row = _guide_step(step, x0, cfg, t)
         rows.append(row)
     return x, RunTrace.from_rows(rows)
 
@@ -297,6 +300,7 @@ def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     """
     y = np.asarray(y, dtype=float)
     sched = cfg.schedule
+    step = make_guided_step(op, y, cfg.eta, cfg.c)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal(op.input_shape)
     sqrt_keep = np.sqrt(1.0 - cfg.zeta)
@@ -307,7 +311,7 @@ def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
         abar_prev = sched.alpha_bar[t - 1]
         sigma_t = float(np.sqrt((1.0 - abar) / abar))
         x0 = _denoiser_step(denoiser, x / np.sqrt(abar), sigma_t, t)
-        x_guided, row = _guide_step(op, x0, y, cfg, t)
+        x_guided, row = _guide_step(step, x0, cfg, t)
         rows.append(row)
         eps_hat = eps_effective(x, x_guided, abar)
         eps = rng.standard_normal(op.input_shape)

@@ -635,9 +635,16 @@ BATTERY_CHECKS = {
 
 
 def run_verifier_battery(selection=None, **overrides) -> list[CheckResult]:
-    """Run the named checks (all of them by default) with fixed seeds."""
+    """Run the named checks (all of them by default) with fixed seeds.
+
+    ``overrides`` maps a check name to keyword arguments for that check;
+    one for a check that is not selected is rejected, not dropped.
+    """
     names = list(BATTERY_CHECKS) if selection is None else list(selection)
     for name in names:
         if name not in BATTERY_CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {sorted(BATTERY_CHECKS)}")
+    for name in overrides:
+        if name not in names:
+            raise ValueError(f"settings given for check {name!r}, which is not selected")
     return [BATTERY_CHECKS[name](**overrides.get(name, {})) for name in names]

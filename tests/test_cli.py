@@ -95,6 +95,24 @@ class TestDegrade:
         assert float(sidecar["sigma_e"]) == 0.05
         assert (int(sidecar["channels"]), int(sidecar["height"]), int(sidecar["width"])) == (1, 16, 16)
 
+    def test_deblur_sidecar_records_no_scale(self, workspace):
+        main([
+            "degrade", "--input", str(workspace / "source.pgm"),
+            "--output", str(workspace / "y.pgt"),
+            "--task", "deblur", "--kernel", str(workspace / "gauss.txt"),
+        ])
+        assert io.read_config(workspace / "y.pgt.meta")["scale"] == "None"
+
+    def test_sr_without_scale_is_validation_error(self, workspace, capsys):
+        code = main([
+            "degrade", "--input", str(workspace / "source.pgm"),
+            "--output", str(workspace / "y.pgt"),
+            "--task", "sr", "--kernel", str(workspace / "gauss.txt"),
+        ])
+        assert code == 2
+        assert "sr requires --scale" in capsys.readouterr().err
+        assert not (workspace / "y.pgt").exists()
+
     def test_sigma_zero_recorded_exactly(self, workspace):
         main([
             "degrade", "--input", str(workspace / "source.pgm"),
@@ -372,6 +390,16 @@ class TestVerify:
         assert main(["verify", "--claims", "theorem1", "--mc-draws", draws]) == 2
         err = capsys.readouterr().err
         assert "draws" in err and f"got {draws}" in err
+
+    def test_mc_draws_without_theorem1_is_validation_error(self, capsys):
+        assert main(["verify", "--claims", "4", "--mc-draws", "5000"]) == 2
+        captured = capsys.readouterr()
+        assert "'theorem1'" in captured.err and "claim4" not in captured.out
+
+    def test_mc_draws_reach_theorem1(self, capsys):
+        assert main(["verify", "--claims", "theorem1", "--mc-draws", "4000"]) == 0
+        out = capsys.readouterr().out
+        assert "theorem1: PASS" in out and "4000 draws" in out
 
     def test_full_battery_passes(self, capsys):
         # default Monte-Carlo draw count: the committed seed is calibrated for it

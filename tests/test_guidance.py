@@ -12,11 +12,21 @@ from pgrestore.guidance import (
     g_delta,
     g_ls,
     guide,
+    make_guided_step,
     mu_schedule,
     wls_objective,
 )
+from pgrestore.denoisers import WienerMMSE, WienerPrior
 from pgrestore.kernels import bicubic_kernel, gaussian_kernel
-from pgrestore.linops import CircularConvolution, DenseOperator, DownsampleConvolution, Mask
+from pgrestore.linops import (
+    CircularConvolution,
+    DenseOperator,
+    DownsampleConvolution,
+    Mask,
+    ShapeMismatchError,
+    SingularOperatorError,
+)
+from pgrestore.schemes import make_ddpm_schedule, make_scheme_config, run_scheme
 from oracles import directional_derivative, operator_matrix, reg_pinv_svd, wls_objective_dense
 
 
@@ -219,6 +229,87 @@ class TestGuide:
         op, x, y = dense_instance(rng)
         with pytest.raises(ValueError):
             guide(op, x, y, -0.1, 0.1, 1.0, 1.0)
+
+
+def _spectral_operator(kind, channels):
+    if kind == "conv":
+        return CircularConvolution(gaussian_kernel(5, 1.5), (channels, 16, 16))
+    if kind == "conv-odd":
+        return CircularConvolution(gaussian_kernel(3, 0.8), (channels, 15, 17))
+    scale = int(kind[2:])
+    return DownsampleConvolution(bicubic_kernel(scale), scale, (channels, 16, 32))
+
+
+def _box_blur(shape):
+    # A 3-tap box has a zero in its frequency response on sides divisible by 3.
+    return CircularConvolution(np.full((3, 3), 1.0 / 9.0), shape)
+
+
+class TestGuidedStep:
+    @given(
+        kind=st.sampled_from(["conv", "conv-odd", "sr2", "sr4"]),
+        channels=st.sampled_from([1, 3]),
+        delta=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+        eta=st.floats(min_value=1e-4, max_value=1.0),
+        c=st.floats(min_value=0.1, max_value=2.0),
+        mu=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.5)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fourier_step_matches_guide(self, kind, channels, delta, eta, c, mu, seed):
+        rng = np.random.default_rng(seed)
+        op = _spectral_operator(kind, channels)
+        x0 = rng.standard_normal(op.input_shape)
+        y = rng.standard_normal(op.output_shape)
+        x, *numbers = make_guided_step(op, y, eta, c)(x0, delta, mu)
+        expected_x, *expected = guide(op, x0, y, delta, eta, c, mu)
+        assert np.linalg.norm(x - expected_x) <= 1e-10 * np.linalg.norm(expected_x)
+        np.testing.assert_allclose(numbers, expected, rtol=1e-10, atol=0)
+
+    def test_vanishing_gram_spectrum_at_eta_zero(self, rng):
+        op = _box_blur((2, 12, 12))
+        x0 = rng.standard_normal(op.input_shape)
+        y = rng.standard_normal(op.output_shape)
+        step = make_guided_step(op, y, 0.0, 1.0)
+        x, *numbers = step(x0, 1.0, 1.0)
+        expected_x, *expected = guide(op, x0, y, 1.0, 0.0, 1.0, 1.0)
+        assert np.linalg.norm(x - expected_x) <= 1e-10 * np.linalg.norm(expected_x)
+        np.testing.assert_allclose(numbers, expected, rtol=1e-10, atol=0)
+        for delta in (0.0, 0.5):
+            with pytest.raises(SingularOperatorError):
+                step(x0, delta, 1.0)
+
+    def test_pure_ls_run_at_eta_zero_matches_generic_path(self):
+        # ddpg with gamma = 0 has delta = 1 throughout, so eta = 0 never
+        # inverts the singular Gram spectrum; a dense copy of the operator
+        # takes the generic guide.
+        op = _box_blur((1, 12, 12))
+        dense = DenseOperator(operator_matrix(op), op.input_shape, op.output_shape)
+        prior = WienerPrior.smooth_default((12, 12), amplitude=16.0)
+        y = op.apply(prior.sample(np.random.default_rng(5)))
+        cfg = make_scheme_config("ddpg", make_ddpm_schedule(8), 0.05, gamma=0.0, eta=0.0, seed=6)
+        assert np.all(cfg.delta == 1.0)
+        x, trace = run_scheme(WienerMMSE(prior), op, y, cfg)
+        expected_x, expected_trace = run_scheme(WienerMMSE(prior), dense, y, cfg)
+        assert np.linalg.norm(x - expected_x) <= 1e-10 * np.linalg.norm(expected_x)
+        np.testing.assert_allclose(trace.residual_after, expected_trace.residual_after, rtol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["conv", "sr2", "mask", "dense"])
+    def test_bad_arguments_rejected(self, rng, kind):
+        op = _guide_operator(kind, rng)
+        x0 = rng.standard_normal(op.input_shape)
+        y = rng.standard_normal(op.output_shape)
+        for eta, c in ((-0.1, 1.0), (0.1, 0.0), (0.1, -1.0)):
+            with pytest.raises(ValueError, match="eta must be nonnegative|c must be positive"):
+                make_guided_step(op, y, eta, c)
+        with pytest.raises(ShapeMismatchError):
+            make_guided_step(op, y[..., :-1], 0.1, 1.0)
+        step = make_guided_step(op, y, 0.1, 1.0)
+        for delta in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="delta must lie in"):
+                step(x0, delta, 1.0)
+        with pytest.raises(ShapeMismatchError):
+            step(x0[..., :-1], 0.5, 1.0)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0])

@@ -272,11 +272,12 @@ class TestNonFinite:
 
 @pytest.mark.parametrize("method", ["idpg", "ddpg"])
 @pytest.mark.parametrize("task,per_iteration", [
-    ("deblur", 12), ("sr2", 12), ("inpaint", 2), ("sr4", 12)])
+    ("deblur", 4), ("sr2", 4), ("inpaint", 2), ("sr4", 4)])
 def test_fft_calls_per_iteration(monkeypatch, method, task, per_iteration):
-    # Exact counts from the first denoiser call on: a guided step makes
-    # two residuals, two Gram solves and one adjoint (2 FFTs each for the
-    # spectral operators, none for a mask); the Wiener denoiser makes 2.
+    # Exact counts from the first denoiser call on: the Fourier-domain
+    # guided step of the spectral operators makes one fft2 and one ifft2
+    # (F(y) is taken once per run, before counting starts), a mask's step
+    # none; the Wiener denoiser makes 2.
     shape = (1, 32, 32)
     prior = WienerPrior.smooth_default(shape[1:], amplitude=16.0)
     x_star = prior.sample(np.random.default_rng(0))
