@@ -2,20 +2,21 @@
 
 The built-ins are classical and analytically tractable, which is what
 the verification suite needs: ``WienerMMSE`` is the exact posterior mean
-under a stationary Gaussian prior, so every claim about the surrounding
-restoration pipeline can be checked in closed form. A denoiser is any
-callable ``(x, sigma) -> x_estimate``; the classes here are plain
-callables with no mutable state, so they are thread-safe. The external
-adapter isolates each call in its own temporary workspace.
+under a stationary Gaussian prior (filtered on the rfft2 half spectrum),
+so every claim about the pipeline can be checked in closed form. A
+denoiser is any callable ``(x, sigma) -> x_estimate``; the classes here
+are plain callables with no mutable state, so they are thread-safe. The
+external adapter isolates each call in its own temporary workspace.
 """
 
 from __future__ import annotations
 
+import functools
 import shlex
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -69,20 +70,23 @@ class GaussianSmooth:
         dx = np.minimum(np.arange(width), width - np.arange(width))
         taps = np.exp(-(dy[:, None] ** 2 + dx[None, :] ** 2) / (2.0 * h**2))
         taps /= taps.sum()
-        return fourier_filter(x, np.fft.fft2(taps))
+        return fourier_filter(x, np.fft.rfft2(taps))
 
 
 @dataclass(frozen=True)
 class WienerPrior:
     """Stationary Gaussian image prior: a power spectrum and a mean image.
 
-    ``spectrum`` is a nonnegative (height, width) array over the FFT
+    ``spectrum`` is a nonnegative (height, width) array over the full FFT
     frequency grid and must be symmetric under frequency negation so
     that sampled images are real. ``mean`` may be a scalar or an image.
+    The symmetry makes the rfft2 half grid (``width//2 + 1`` columns)
+    enough to filter with; ``half_spectrum`` holds it, sliced once.
     """
 
     spectrum: np.ndarray
     mean: float | np.ndarray = 0.0
+    half_spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spec = np.asarray(self.spectrum, dtype=float)
@@ -96,6 +100,8 @@ class WienerPrior:
                                          indexing="ij"))]
         if not np.allclose(spec, flipped, rtol=1e-10, atol=1e-12):
             raise ValueError("spectrum must be symmetric under frequency negation")
+        object.__setattr__(self, "half_spectrum",
+                           np.ascontiguousarray(spec[:, : spec.shape[1] // 2 + 1]))
 
     @staticmethod
     def smooth_default(shape, amplitude: float = 1.0) -> "WienerPrior":
@@ -113,15 +119,19 @@ class WienerPrior:
     def sample(self, rng: np.random.Generator, channels: int = 1) -> np.ndarray:
         """Draw an image from the prior (spectral coloring of white noise)."""
         white = rng.standard_normal((channels,) + self.spectrum.shape)
-        return self.mean_image(channels) + fourier_filter(white, np.sqrt(self.spectrum))
+        return self.mean_image(channels) + fourier_filter(white, np.sqrt(self.half_spectrum))
+
+
+# The prior of WienerMMSE(prior=None): built, and checked, once per grid.
+_default_prior = functools.lru_cache(maxsize=8)(WienerPrior.smooth_default)
 
 
 class WienerMMSE:
     """Exact posterior-mean denoiser under a :class:`WienerPrior`.
 
-    Per frequency f: mean(f) + p(f) / (p(f) + sigma^2) * (x(f) - mean(f)).
-    With ``prior=None`` the smooth default prior for the input's grid is
-    used. sigma = 0 returns the input untouched.
+    Per frequency f of the half spectrum: mean(f) + p(f) / (p(f) + sigma^2)
+    * (x(f) - mean(f)). With ``prior=None`` the smooth default prior for
+    the input's grid is used. sigma = 0 returns the input untouched.
     """
 
     def __init__(self, prior: WienerPrior | None = None):
@@ -131,13 +141,13 @@ class WienerMMSE:
         _check_sigma(sigma)
         if sigma == 0.0:
             return x
-        prior = self.prior if self.prior is not None else WienerPrior.smooth_default(x.shape[1:])
+        prior = self.prior if self.prior is not None else _default_prior(x.shape[1:])
         if prior.spectrum.shape != x.shape[1:]:
             raise ValueError(
                 f"prior grid {prior.spectrum.shape} does not match image {x.shape[1:]}"
             )
         mean = prior.mean_image(x.shape[0])
-        shrink = prior.spectrum / (prior.spectrum + sigma**2)
+        shrink = prior.half_spectrum / (prior.half_spectrum + sigma**2)
         return mean + fourier_filter(x - mean, shrink)
 
 

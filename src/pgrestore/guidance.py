@@ -18,8 +18,8 @@ objective and residual before and after it, computing each residual and
 Gram solve once; it is the reference for every faster form.
 
 ``make_guided_step`` builds the step a run takes T times, for a fixed y:
-blur and downsampling operators get their Fourier-domain form (one fft2
-and one ifft2 per step, equal to ``guide`` up to rounding), and every
+blur and downsampling operators get their Fourier-domain form (one rfft2
+and one irfft2 per step, equal to ``guide`` up to rounding), and every
 other operator calls ``guide``.
 
 The schedules (``delta_schedule``, ``mu_schedule``, ``eta_from_noise``)
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linops import DownsampleConvolution, LinearOperator, _check_shape, estimate_spectral_norm
+from .linops import DownsampleConvolution, LinearOperator, _check_shape
 
 __all__ = [
     "ETA_FLOOR",
@@ -120,7 +120,7 @@ def make_guided_step(op: LinearOperator, y, eta: float, c: float):
     delta in [0, 1] and x0's shape on every call. A
     :class:`DownsampleConvolution` (circular convolution included) takes
     its Fourier-domain form, which equals ``guide`` up to rounding with
-    one fft2 and one ifft2 per call; every other operator calls ``guide``
+    one rfft2 and one irfft2 per call; every other operator calls ``guide``
     itself.
     """
     y = np.asarray(y, dtype=float)
@@ -194,9 +194,6 @@ def mu_schedule(alpha_bar_full, policy: str) -> np.ndarray:
     raise ValueError(f"unknown step-size policy {policy!r}")
 
 
-def default_ls_scale(op: LinearOperator, n_iters: int = 50, seed: int = 0) -> float:
+def default_ls_scale(op: LinearOperator) -> float:
     """LS scale c guaranteeing single-step descent: 1 when ||A|| <= 1, else 1/||A||^2."""
-    lam1 = estimate_spectral_norm(op, n_iters=n_iters, seed=seed)
-    if lam1 <= 1.0 + 1e-9:
-        return 1.0
-    return 1.0 / lam1**2
+    return 1.0 if op.norm <= 1.0 else 1.0 / op.norm**2

@@ -14,14 +14,14 @@ frequency-domain division; circular convolution is its stride-1 case.
 Masks are tight frames (A A^T = I, so the Gram solve is a scaling), and
 dense matrices use direct solves and exist for oracle-scale testing.
 
-``fourier_filter(x, response)`` holds the package's FFT convention (full
-``fft2`` over the last two axes, real part of the inverse); the operator
-primitives and the denoisers filter through it.
+``fourier_filter(x, response)`` holds the package's FFT convention (images
+are real: ``rfft2``/``irfft2`` over the last two axes, responses on the
+half spectrum of ``w//2 + 1`` columns); the primitives and denoisers use it.
 ``DownsampleConvolution.fourier_guided_step`` keeps that convention but
 takes its two transforms itself: it is the whole guided step of
 :func:`pgrestore.guidance.guide` for one measurement, with the residual,
-the weighting and both data-term numbers formed on the coarse frequency
-grid, so a step costs one fft2 and one ifft2.
+the weighting and both data-term numbers formed on the coarse half
+spectrum, so a step costs one rfft2 and one irfft2.
 
 Boundary handling is circular everywhere. Operators act channel-wise on
 (channels, height, width) arrays, are immutable after construction, and
@@ -40,7 +40,6 @@ __all__ = [
     "DownsampleConvolution",
     "Mask",
     "DenseOperator",
-    "estimate_spectral_norm",
     "fourier_filter",
     "as_image",
     "SPECTRAL_ZERO_TOL",
@@ -103,16 +102,43 @@ def _kernel_response(kernel: np.ndarray, grid_shape) -> np.ndarray:
     padded = np.zeros((h, w))
     padded[:kh, :kw] = kernel
     padded = np.roll(padded, ((-((kh - 1) // 2)), (-((kw - 1) // 2))), axis=(0, 1))
-    return np.fft.fft2(padded)
+    return np.fft.rfft2(padded)
 
 
 def fourier_filter(x: np.ndarray, response: np.ndarray) -> np.ndarray:
-    """Real part of ifft2(fft2(x) * response) over the last two axes.
+    """irfft2(rfft2(x) * response) over the last two axes.
 
     The one place the package applies a Fourier-domain filter: ``response``
-    is given on the full fft2 frequency grid of ``x``.
+    is given on the rfft2 half spectrum of ``x`` (``w//2 + 1`` columns).
+    Returns a fresh C-contiguous real array.
     """
-    return np.fft.ifft2(np.fft.fft2(x, axes=(-2, -1)) * response, axes=(-2, -1)).real
+    spectrum = np.fft.rfft2(x, axes=(-2, -1))
+    spectrum *= response
+    return np.fft.irfft2(spectrum, s=x.shape[-2:], axes=(-2, -1))
+
+
+def _full_width(half: np.ndarray, width: int) -> np.ndarray:
+    """A real image's spectrum on all ``width`` columns, from its rfft2 half.
+
+    Hermitian symmetry, X[u, v] = conj X[-u mod h, width - v], gives the
+    missing columns: the half's columns (width - 1) // 2 .. 1 with rows
+    0, h - 1, .., 1, conjugated.
+    """
+    k = half.shape[-1]
+    full = np.empty(half.shape[:-1] + (width,), dtype=half.dtype)
+    full[..., :k] = half
+    tail = half[..., (width + 1) // 2 - 1:0:-1]
+    np.conjugate(tail[..., :1, :], out=full[..., :1, k:])
+    np.conjugate(tail[..., :0:-1, :], out=full[..., 1:, k:])
+    return full
+
+
+def _half_sum(a: np.ndarray, width: int) -> float:
+    """Full-grid sum of a Hermitian-symmetric array given on its rfft2 half.
+
+    Columns 1 .. (width - 1) // 2 stand for two frequencies each, the rest for one.
+    """
+    return float(a.sum() + a[..., 1:(width + 1) // 2].sum())
 
 
 def _check_invertible(gram_spectrum: np.ndarray, eta: float) -> None:
@@ -123,7 +149,7 @@ def _check_invertible(gram_spectrum: np.ndarray, eta: float) -> None:
         if bad:
             raise SingularOperatorError(
                 f"cannot invert with eta=0: Gram spectrum vanishes at "
-                f"{bad} of {gram_spectrum.size} frequencies"
+                f"{bad} of {gram_spectrum.size} frequencies of its half spectrum"
             )
 
 
@@ -135,13 +161,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class LinearOperator:
     """Base class: a linear map with adjoint and regularized pseudoinverse.
 
-    Subclasses set ``input_shape``/``output_shape`` and implement
-    ``_apply``, ``_apply_adjoint`` and ``_solve_gram``; the public
-    methods add shape validation.
+    Subclasses set ``input_shape``/``output_shape``, provide ``norm``
+    (the spectral norm ||A||, exact) and implement ``_apply``,
+    ``_apply_adjoint`` and ``_solve_gram``; the public methods add shape
+    validation.
     """
 
     input_shape: tuple
     output_shape: tuple
+    norm: float
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Forward map A x."""
@@ -182,11 +210,12 @@ class DownsampleConvolution(LinearOperator):
 
     Keeps pixels at indices (0, s, 2s, ...) after circularly convolving
     with ``kernel``. The Gram operator A A^T is a circular convolution on
-    the coarse grid whose spectrum is the mean of |F(k)|^2 over the s x s
-    fine-grid frequencies that alias to each coarse frequency, which makes
-    the regularized pseudoinverse a coarse-grid division followed by
-    zero-fill upsampling and adjoint filtering. With s = 1 that spectrum
-    is |F(k)|^2 itself and the operator is plain circular convolution.
+    the coarse grid whose spectrum G is the mean of |F(k)|^2 over the
+    s x s fine-grid frequencies that alias to each coarse frequency, which
+    makes the regularized pseudoinverse a coarse-grid division followed by
+    zero-fill upsampling and adjoint filtering, and ||A||^2 = max G. With
+    s = 1, G is |F(k)|^2 itself and the operator is plain circular
+    convolution. Both spectra are kept on the rfft2 half grid.
     """
 
     def __init__(self, kernel, scale, image_shape):
@@ -210,14 +239,18 @@ class DownsampleConvolution(LinearOperator):
         self.scale = scale
         self.kernel = _freeze(kernel)
         self._response = _freeze(_kernel_response(kernel, (h, w)))
-        power = np.abs(self._response) ** 2
-        self._gram_response = _freeze(
-            power.reshape(scale, h // scale, scale, w // scale).sum(axis=(0, 2)) / scale**2
-        )
+        power = _full_width(np.abs(self._response) ** 2, w)
+        gram = power.reshape(scale, h // scale, scale, w // scale).sum(axis=(0, 2)) / scale**2
+        self._gram_response = _freeze(np.ascontiguousarray(gram[:, : w // scale // 2 + 1]))
 
     @property
     def frequency_response(self) -> np.ndarray:
+        """The kernel's frequency response on the rfft2 half grid, (h, w//2 + 1)."""
         return self._response
+
+    @property
+    def norm(self) -> float:
+        return float(np.sqrt(self._gram_response.max()))
 
     def _apply(self, x):
         return fourier_filter(x, self._response)[..., :: self.scale, :: self.scale]
@@ -240,16 +273,17 @@ class DownsampleConvolution(LinearOperator):
         - F(y), where fold sums each alias group, the weighting W is the
         per-frequency weight (1 - delta)/(G + eta) + delta c, the residual
         after the step is R - mu G W R, and both objectives and residuals
-        follow by Parseval; a call takes one fft2 and one ifft2.
+        follow by Parseval. Everything lives on the rfft2 half grid, so a
+        call takes one rfft2 and one irfft2; for s > 1 the fold and its
+        adjoint pass through the full coarse width by Hermitian symmetry.
         Arguments are not checked here: ``guidance.make_guided_step`` does.
         """
         s = self.scale
         channels, h, w = self.input_shape
         hc, wc = h // s, w // s
-        groups = (channels, s, hc, s, wc)
         size = hc * wc
         response, gram = self._response, self._gram_response
-        y_hat = np.fft.fft2(y, axes=(-2, -1))
+        y_hat = np.fft.rfft2(y, axes=(-2, -1))
         inverse = None
 
         def weight(delta):
@@ -267,14 +301,17 @@ class DownsampleConvolution(LinearOperator):
         def data_term(r, weights):
             power = r.real**2
             power += r.imag**2
-            residual = float(np.sqrt(power.sum() / size))
+            residual = float(np.sqrt(_half_sum(power, wc) / size))
             power *= weights
-            return [0.5 * float(power.sum()) / size, residual]
+            return [0.5 * _half_sum(power, wc) / size, residual]
 
         def step(x0, delta, mu):
-            # R = fold(H F(x0)) / s^2 - F(y) on the coarse grid, and W R.
-            r = (np.fft.fft2(x0, axes=(-2, -1)) * response).reshape(groups).sum(axis=(1, 3))
-            r /= s * s
+            r = np.fft.rfft2(x0, axes=(-2, -1))
+            r *= response
+            if s > 1:  # fold: rows by a reshape-sum, columns once extended to full width
+                r = r.reshape(channels, s, hc, -1).sum(axis=1)
+                r = _full_width(r, w).reshape(channels, hc, s, wc).sum(axis=2)[..., : wc // 2 + 1]
+                r /= s * s
             r -= y_hat
             weights = weight(delta)
             w_r = weights * r
@@ -283,9 +320,12 @@ class DownsampleConvolution(LinearOperator):
             numbers += data_term(r, weights)
             # Each buffer is freed once used: the transforms set the peak memory.
             del r
-            back = np.conj(response).reshape(groups[1:]) * w_r[:, None, :, None, :]
-            del w_r
-            x = x0 - mu * np.fft.ifft2(back.reshape(x0.shape), axes=(-2, -1)).real
+            if s > 1:  # the adjoint of the fold: tile s x s, keep the fine half grid
+                w_r = np.tile(_full_width(w_r, wc), (s, s // 2 + 1))[..., : w // 2 + 1]
+            w_r *= np.conj(response)
+            x = np.fft.irfft2(w_r, s=(h, w), axes=(-2, -1))
+            x *= -mu
+            x += x0
             return (x, *numbers)
 
         return step
@@ -327,6 +367,8 @@ class Mask(LinearOperator):
         self.input_shape = (c, h, w)
         self.output_shape = (c, kept)
 
+    norm = 1.0
+
     def _apply(self, x):
         return x[:, self.mask]
 
@@ -362,6 +404,10 @@ class DenseOperator(LinearOperator):
             raise ValueError("shapes do not match the matrix dimensions")
         self._gram_matrix = None
 
+    @property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.matrix, 2))
+
     def _apply(self, x):
         return (self.matrix @ x.ravel()).reshape(self.output_shape)
 
@@ -385,16 +431,3 @@ class DenseOperator(LinearOperator):
                 ) from None
         return np.linalg.solve(g, r.ravel()).reshape(self.output_shape)
 
-
-def estimate_spectral_norm(op: LinearOperator, n_iters: int = 50, seed: int = 0) -> float:
-    """Largest singular value of ``op`` by power iteration on A^T A."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.input_shape)
-    v /= np.linalg.norm(v)
-    for _ in range(n_iters):
-        w = op.apply_adjoint(op.apply(v))
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return float(np.linalg.norm(op.apply(v)))

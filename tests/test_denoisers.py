@@ -81,6 +81,49 @@ class TestWienerMMSE:
         with pytest.raises(ValueError):
             WienerMMSE(prior)(rng.standard_normal(SHAPE), 0.5)
 
+    def test_default_prior_built_once_per_grid(self, monkeypatch, rng):
+        x = rng.standard_normal((2, 13, 14))
+        denoiser = WienerMMSE()
+        first = denoiser(x, 0.3)
+        monkeypatch.setattr(WienerPrior, "smooth_default", None)  # a rebuild would fail
+        assert np.array_equal(denoiser(x, 0.3), first)
+        assert np.array_equal(first, WienerMMSE()(x, 0.3))
+
+
+def _full_grid_filter(x, response):
+    return np.fft.ifft2(np.fft.fft2(x, axes=(-2, -1)) * response, axes=(-2, -1)).real
+
+
+@pytest.mark.parametrize("shape", [(1, 12, 10), (3, 9, 11), (3, 10, 7)],
+                         ids=["1x12x10", "3x9x11", "3x10x7"])
+class TestAgainstFullGridFormula:
+    # The half-spectrum filters against full fft2/ifft2 over the whole grid.
+    def test_wiener_mmse(self, rng, shape):
+        base = WienerPrior.smooth_default(shape[1:], amplitude=3.0)
+        mean = rng.random(shape[1:])
+        prior = WienerPrior(spectrum=base.spectrum, mean=mean)
+        x = rng.standard_normal(shape)
+        expected = mean + _full_grid_filter(x - mean, base.spectrum / (base.spectrum + 0.4**2))
+        np.testing.assert_allclose(WienerMMSE(prior)(x, 0.4), expected, rtol=0, atol=1e-12)
+
+    def test_gaussian_smooth(self, rng, shape):
+        _, height, width = shape
+        h = 1.5 * 0.8
+        dy = np.minimum(np.arange(height), height - np.arange(height))
+        dx = np.minimum(np.arange(width), width - np.arange(width))
+        taps = np.exp(-(dy[:, None] ** 2 + dx[None, :] ** 2) / (2.0 * h**2))
+        x = rng.standard_normal(shape)
+        expected = _full_grid_filter(x, np.fft.fft2(taps / taps.sum()))
+        np.testing.assert_allclose(GaussianSmooth(kappa=1.5)(x, 0.8), expected, rtol=0, atol=1e-12)
+
+    def test_prior_sample(self, shape):
+        base = WienerPrior.smooth_default(shape[1:], amplitude=2.0)
+        prior = WienerPrior(spectrum=base.spectrum, mean=0.5)
+        white = np.random.default_rng(9).standard_normal(shape)
+        expected = 0.5 + _full_grid_filter(white, np.sqrt(base.spectrum))
+        sample = prior.sample(np.random.default_rng(9), channels=shape[0])
+        np.testing.assert_allclose(sample, expected, rtol=0, atol=1e-12)
+
 
 class TestWienerPrior:
     def test_default_spectrum_shape_and_peak(self):

@@ -236,6 +236,12 @@ def _spectral_operator(kind, channels):
         return CircularConvolution(gaussian_kernel(5, 1.5), (channels, 16, 16))
     if kind == "conv-odd":
         return CircularConvolution(gaussian_kernel(3, 0.8), (channels, 15, 17))
+    if kind == "conv-even-odd":
+        return CircularConvolution(gaussian_kernel(3, 0.8), (channels, 16, 15))
+    if kind == "sr2-odd":  # coarse 9 x 15
+        return DownsampleConvolution(bicubic_kernel(2), 2, (channels, 18, 30))
+    if kind == "sr4-odd":  # coarse 5 x 9
+        return DownsampleConvolution(bicubic_kernel(4), 4, (channels, 20, 36))
     scale = int(kind[2:])
     return DownsampleConvolution(bicubic_kernel(scale), scale, (channels, 16, 32))
 
@@ -247,7 +253,8 @@ def _box_blur(shape):
 
 class TestGuidedStep:
     @given(
-        kind=st.sampled_from(["conv", "conv-odd", "sr2", "sr4"]),
+        kind=st.sampled_from(["conv", "conv-odd", "conv-even-odd", "sr2", "sr4",
+                              "sr2-odd", "sr4-odd"]),
         channels=st.sampled_from([1, 3]),
         delta=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
         eta=st.floats(min_value=1e-4, max_value=1.0),
@@ -267,17 +274,20 @@ class TestGuidedStep:
         np.testing.assert_allclose(numbers, expected, rtol=1e-10, atol=0)
 
     def test_vanishing_gram_spectrum_at_eta_zero(self, rng):
-        op = _box_blur((2, 12, 12))
-        x0 = rng.standard_normal(op.input_shape)
-        y = rng.standard_normal(op.output_shape)
-        step = make_guided_step(op, y, 0.0, 1.0)
-        x, *numbers = step(x0, 1.0, 1.0)
-        expected_x, *expected = guide(op, x0, y, 1.0, 0.0, 1.0, 1.0)
-        assert np.linalg.norm(x - expected_x) <= 1e-10 * np.linalg.norm(expected_x)
-        np.testing.assert_allclose(numbers, expected, rtol=1e-10, atol=0)
-        for delta in (0.0, 0.5):
-            with pytest.raises(SingularOperatorError):
-                step(x0, delta, 1.0)
+        # Taps 2 rows apart null frequency rows h/4 and 3h/4, a whole s = 2
+        # alias group, so the sr Gram spectrum vanishes on coarse row h/4.
+        comb = np.array([[0.5], [0.0], [0.5]])
+        for op in (_box_blur((2, 12, 12)), DownsampleConvolution(comb, 2, (2, 12, 16))):
+            x0 = rng.standard_normal(op.input_shape)
+            y = rng.standard_normal(op.output_shape)
+            step = make_guided_step(op, y, 0.0, 1.0)
+            x, *numbers = step(x0, 1.0, 1.0)
+            expected_x, *expected = guide(op, x0, y, 1.0, 0.0, 1.0, 1.0)
+            assert np.linalg.norm(x - expected_x) <= 1e-10 * np.linalg.norm(expected_x)
+            np.testing.assert_allclose(numbers, expected, rtol=1e-10, atol=0)
+            for delta in (0.0, 0.5):
+                with pytest.raises(SingularOperatorError):
+                    step(x0, delta, 1.0)
 
     def test_pure_ls_run_at_eta_zero_matches_generic_path(self):
         # ddpg with gamma = 0 has delta = 1 throughout, so eta = 0 never

@@ -9,7 +9,7 @@ from pgrestore.linops import (
     Mask,
     ShapeMismatchError,
     SingularOperatorError,
-    estimate_spectral_norm,
+    fourier_filter,
 )
 from oracles import (
     naive_circular_conv,
@@ -280,14 +280,30 @@ class TestConstruction:
             Mask(np.zeros((8, 8), dtype=bool), SHAPE)
 
 
-def test_spectral_norm_estimate_matches_svd(rng):
-    matrix = rng.standard_normal((12, 20))
-    op = DenseOperator(matrix)
-    estimate = estimate_spectral_norm(op, n_iters=200, seed=1)
-    exact = np.linalg.svd(matrix, compute_uv=False).max()
-    assert abs(estimate - exact) <= 1e-6 * exact
+@pytest.mark.parametrize("make_op", [
+    lambda rng: CircularConvolution(rng.random((5, 3)), (1, 12, 10)),
+    lambda rng: DownsampleConvolution(rng.random((4, 4)), 2, (1, 12, 10)),
+    lambda rng: DownsampleConvolution(bicubic_kernel(4), 4, (1, 16, 20)),
+    lambda rng: Mask(random_mask(rng, (8, 8)), (2, 8, 8)),
+    lambda rng: DenseOperator(rng.standard_normal((12, 20))),
+], ids=["conv", "sr2", "sr4", "mask", "dense"])
+def test_norm_matches_svd(rng, make_op):
+    op = make_op(rng)
+    exact = np.linalg.svd(operator_matrix(op), compute_uv=False).max()
+    assert abs(op.norm - exact) <= 1e-12 * exact
 
 
 def test_normalized_blur_has_unit_spectral_norm():
     op = CircularConvolution(gaussian_kernel(5, 10.0), (1, 16, 16))
-    assert abs(estimate_spectral_norm(op) - 1.0) <= 1e-9
+    assert abs(op.norm - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("make_output", [
+    lambda x: CircularConvolution(gaussian_kernel(5, 2.0), x.shape).apply(x),
+    lambda x: fourier_filter(x, np.fft.rfft2(np.eye(x.shape[1], x.shape[2]))),
+], ids=["conv-apply", "fourier_filter"])
+def test_filter_output_owns_its_data(rng, make_output):
+    # a strided view of a complex buffer would hold twice the bytes it shows
+    out = make_output(rng.standard_normal((2, 12, 10)))
+    assert out.flags.c_contiguous
+    assert out.base is None or out.base.nbytes == out.nbytes
