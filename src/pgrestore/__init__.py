@@ -10,7 +10,7 @@ from .linops import (
     DenseOperator,
     LinearOperator,
 )
-from .guidance import g_bp, g_ls, g_delta, guide, wls_objective
+from .guidance import g_delta, guide, wls_objective
 from .schemes import (
     DiffusionSchedule,
     SchemeConfig,
@@ -33,8 +33,6 @@ __all__ = [
     "Mask",
     "DenseOperator",
     "LinearOperator",
-    "g_bp",
-    "g_ls",
     "g_delta",
     "wls_objective",
     "guide",

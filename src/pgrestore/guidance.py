@@ -1,26 +1,25 @@
 """Data-fidelity guidance directions and their schedules.
 
 The restoration loops steer each denoised estimate with a direction that
-is a convex combination of two endpoints:
+is a convex combination of two endpoints, back-projection
+A^T (A A^T + eta I)^-1 (A x - y) and least squares c A^T (A x - y):
 
-    g_bp(x) = A^T (A A^T + eta I)^-1 (A x - y)   back-projection
-    g_ls(x) = c A^T (A x - y)                    least squares
-    g_delta = (1 - delta) g_bp + delta g_ls
+    g_delta(x) = A^T W (A x - y),  W = (1 - delta)(A A^T + eta I)^-1 + delta c I
 
 ``delta`` moves from ~0 early in a run (BP: strong data consistency,
 fast progress) to ~1 at the end (LS: robust to measurement noise).
 ``g_delta`` is the exact gradient of a weighted least-squares term whose
 weight interpolates between the Gram inverse and a scaled identity;
 ``wls_objective`` evaluates that term without forming matrix square
-roots. All four go through one weighting W r = (1 - delta)(A A^T +
-eta I)^-1 r + delta c r. ``guide`` takes one guided step and returns the
-objective and residual before and after it, computing each residual and
-Gram solve once; it is the reference for every faster form.
+roots. ``guide`` takes one guided step and returns the objective and
+residual before and after it, computing each residual and Gram solve
+once; it is the reference for every faster form.
 
-``make_guided_step`` builds the step a run takes T times, for a fixed y:
-blur and downsampling operators get their Fourier-domain form (one rfft2
-and one irfft2 per step, equal to ``guide`` up to rounding), and every
-other operator calls ``guide``.
+``make_guided_step`` checks a run's arguments and asks the operator for
+the step it takes T times, for a fixed y (``LinearOperator.guided_step``):
+blur and downsampling take a Fourier-domain form (one rfft2 and one
+irfft2 per step), masks a full-grid form with no transform, both equal
+to ``guide`` up to rounding; every other operator calls ``guide``.
 
 The schedules (``delta_schedule``, ``mu_schedule``, ``eta_from_noise``)
 return plain numbers and arrays; :class:`pgrestore.schemes.SchemeConfig`
@@ -33,12 +32,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linops import DownsampleConvolution, LinearOperator, _check_shape
+from .linops import LinearOperator, _check_shape
 
 __all__ = [
     "ETA_FLOOR",
-    "g_bp",
-    "g_ls",
     "g_delta",
     "wls_objective",
     "guide",
@@ -72,18 +69,8 @@ def _weighted_residual(op: LinearOperator, x, y, delta: float, eta: float, c: fl
     return r, (1.0 - delta) * op.solve_gram(r, eta) + delta * c * r
 
 
-def g_bp(op: LinearOperator, x, y, eta: float) -> np.ndarray:
-    """Back-projection direction A^T (A A^T + eta I)^-1 (A x - y)."""
-    return op.apply_adjoint(_weighted_residual(op, x, y, 0.0, eta, 1.0)[1])
-
-
-def g_ls(op: LinearOperator, x, y, c: float) -> np.ndarray:
-    """Scaled least-squares gradient c A^T (A x - y)."""
-    return op.apply_adjoint(_weighted_residual(op, x, y, 1.0, 0.0, c)[1])
-
-
 def g_delta(op: LinearOperator, x, y, delta: float, eta: float, c: float) -> np.ndarray:
-    """Convex combination (1 - delta) g_bp + delta g_ls = A^T W (A x - y)."""
+    """Guidance direction A^T W (A x - y): back-projection at delta = 0, c A^T (A x - y) at 1."""
     return op.apply_adjoint(_weighted_residual(op, x, y, delta, eta, c)[1])
 
 
@@ -117,11 +104,9 @@ def make_guided_step(op: LinearOperator, y, eta: float, c: float):
 
     ``step(x0, delta, mu)`` returns what ``guide(op, x0, y, delta, eta,
     c, mu)`` returns. Checks y's shape, eta >= 0 and c > 0 here, and
-    delta in [0, 1] and x0's shape on every call. A
-    :class:`DownsampleConvolution` (circular convolution included) takes
-    its Fourier-domain form, which equals ``guide`` up to rounding with
-    one rfft2 and one irfft2 per call; every other operator calls ``guide``
-    itself.
+    delta in [0, 1] and x0's shape on every call; the step itself is
+    ``op.guided_step(y, eta, c)``, which a blur, downsampling or mask
+    operator takes in a faster form equal to ``guide`` up to rounding.
     """
     y = np.asarray(y, dtype=float)
     _check_shape("measurement", y, op.output_shape)
@@ -129,11 +114,7 @@ def make_guided_step(op: LinearOperator, y, eta: float, c: float):
         raise ValueError(f"eta must be nonnegative, got {eta}")
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
-    if isinstance(op, DownsampleConvolution):
-        take_step = op.fourier_guided_step(y, eta, c)
-    else:
-        def take_step(x0, delta, mu):
-            return guide(op, x0, y, delta, eta, c, mu)
+    take_step = op.guided_step(y, eta, c)
 
     def step(x0, delta, mu):
         if not 0.0 <= delta <= 1.0:

@@ -17,11 +17,11 @@ dense matrices use direct solves and exist for oracle-scale testing.
 ``fourier_filter(x, response)`` holds the package's FFT convention (images
 are real: ``rfft2``/``irfft2`` over the last two axes, responses on the
 half spectrum of ``w//2 + 1`` columns); the primitives and denoisers use it.
-``DownsampleConvolution.fourier_guided_step`` keeps that convention but
-takes its two transforms itself: it is the whole guided step of
-:func:`pgrestore.guidance.guide` for one measurement, with the residual,
-the weighting and both data-term numbers formed on the coarse half
-spectrum, so a step costs one rfft2 and one irfft2.
+Each operator builds a run's guided step, ``guided_step(y, eta, c)``, the
+step of :func:`pgrestore.guidance.guide` for one measurement (the base class
+calls ``guide``). ``DownsampleConvolution`` forms it on the coarse half
+spectrum with one rfft2 and one irfft2; ``Mask`` on the image grid, with a
+scalar weighting and no transform.
 
 Boundary handling is circular everywhere. Operators act channel-wise on
 (channels, height, width) arrays, are immutable after construction, and
@@ -164,7 +164,7 @@ class LinearOperator:
     Subclasses set ``input_shape``/``output_shape``, provide ``norm``
     (the spectral norm ||A||, exact) and implement ``_apply``,
     ``_apply_adjoint`` and ``_solve_gram``; the public methods add shape
-    validation.
+    validation; ``guided_step`` may be overridden with a faster form.
     """
 
     input_shape: tuple
@@ -194,6 +194,15 @@ class LinearOperator:
     def apply_reg_pinv(self, z: np.ndarray, eta: float) -> np.ndarray:
         """Regularized pseudoinverse A^T (A A^T + eta I)^-1 z."""
         return self.apply_adjoint(self.solve_gram(z, eta))
+
+    def guided_step(self, y, eta, c):
+        """``step(x0, delta, mu)``, which returns ``guide(self, x0, y, delta, eta, c, mu)``.
+
+        Arguments are not checked here: ``guidance.make_guided_step`` does.
+        """
+        from .guidance import guide  # guidance imports this module
+
+        return lambda x0, delta, mu: guide(self, x0, y, delta, eta, c, mu)
 
     def _apply(self, x):
         raise NotImplementedError
@@ -253,7 +262,8 @@ class DownsampleConvolution(LinearOperator):
         return float(np.sqrt(self._gram_response.max()))
 
     def _apply(self, x):
-        return fourier_filter(x, self._response)[..., :: self.scale, :: self.scale]
+        s = self.scale  # a copy for s > 1: a view would keep the fine grid alive
+        return np.ascontiguousarray(fourier_filter(x, self._response)[..., ::s, ::s])
 
     def _apply_adjoint(self, r):
         up = np.zeros(r.shape[:-2] + self.input_shape[1:])
@@ -264,7 +274,7 @@ class DownsampleConvolution(LinearOperator):
         _check_invertible(self._gram_response, eta)
         return fourier_filter(r, 1.0 / (self._gram_response + eta))
 
-    def fourier_guided_step(self, y, eta, c):
+    def guided_step(self, y, eta, c):
         """``guidance.guide`` in the Fourier domain, for this operator and a fixed y.
 
         Returns ``step(x0, delta, mu) -> (x, objective, residual,
@@ -379,6 +389,29 @@ class Mask(LinearOperator):
 
     def _solve_gram(self, r, eta):
         return r / (1.0 + eta)
+
+    def guided_step(self, y, eta, c):
+        """``guidance.guide`` on the image grid, equal to it up to rounding.
+
+        A A^T = I makes W the scalar (1 - delta)/(1 + eta) + delta c, exactly
+        c at delta = 1. With r = mask x0 - A^T y (zero off the mask), x = x0 -
+        mu W r and the residual after the step is (1 - mu W) r. Arguments are
+        checked by ``guidance.make_guided_step``.
+        """
+        y_full = self._apply_adjoint(y)
+        mask = self.mask.astype(float)
+
+        def step(x0, delta, mu):
+            weight = c if delta == 1.0 else (1.0 - delta) / (1.0 + eta) + delta * c
+            r = np.multiply(x0, mask)
+            r -= y_full
+            power, shrink = float(np.vdot(r, r)), 1.0 - mu * weight
+            r *= -mu * weight  # x = x0 - mu W r, in r's buffer
+            r += x0
+            return (r, 0.5 * weight * power, np.sqrt(power),
+                    0.5 * weight * shrink**2 * power, abs(shrink) * np.sqrt(power))
+
+        return step
 
 
 class DenseOperator(LinearOperator):

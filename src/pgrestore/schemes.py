@@ -3,8 +3,8 @@
 Both loops alternate a Gaussian denoiser with a guidance step whose
 direction moves from back-projection to least squares as iterations
 proceed (see :mod:`pgrestore.guidance`). Each run builds its step once,
-with ``make_guided_step``, so blur and downsampling runs take the
-Fourier-domain step (two FFTs per iteration besides the denoiser's).
+with ``make_guided_step``, in the operator's own form: two FFTs per
+iteration besides the denoiser's for blur and downsampling, none for masks.
 IDPG is fully deterministic; its endpoint configurations reproduce IDBP
 (pure BP, delta = 0) and a plain proximal-gradient LS scheme (delta =
 1). DDPG re-noises each guided estimate with a seeded mix of the
@@ -114,7 +114,9 @@ def eps_effective(x_t: np.ndarray, x_clean: np.ndarray, alpha_bar_t: float) -> n
         raise ValueError(
             f"alpha_bar_t must lie strictly inside (0, 1), got {alpha_bar_t}"
         )
-    return (x_t - np.sqrt(alpha_bar_t) * x_clean) / np.sqrt(1.0 - alpha_bar_t)
+    out = np.multiply(np.sqrt(alpha_bar_t), x_clean)
+    np.subtract(x_t, out, out=out)
+    return np.divide(out, np.sqrt(1.0 - alpha_bar_t), out=out)
 
 
 @dataclass(frozen=True)
@@ -297,6 +299,7 @@ def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     w_t sqrt(1 - zeta) / sqrt(zeta) mix of effective and fresh noise.
     The random stream (initial draw, then one draw per iteration) is the
     only source of randomness, so equal seeds give bit-identical runs.
+    Re-noising works in place, in the out-of-place form's operand order.
     """
     y = np.asarray(y, dtype=float)
     sched = cfg.schedule
@@ -313,10 +316,14 @@ def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
         x0 = _denoiser_step(denoiser, x / np.sqrt(abar), sigma_t, t)
         x_guided, row = _guide_step(step, x0, cfg, t)
         rows.append(row)
-        eps_hat = eps_effective(x, x_guided, abar)
+        noise = eps_effective(x, x_guided, abar)
+        noise *= cfg.w[t - 1] * sqrt_keep
         eps = rng.standard_normal(op.input_shape)
-        noise = cfg.w[t - 1] * sqrt_keep * eps_hat + sqrt_fresh * eps
-        x = np.sqrt(abar_prev) * x_guided + np.sqrt(1.0 - abar_prev) * noise
+        eps *= sqrt_fresh
+        noise += eps
+        noise *= np.sqrt(1.0 - abar_prev)
+        np.multiply(np.sqrt(abar_prev), x_guided, out=x)
+        x += noise
     return x, RunTrace.from_rows(rows)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .guidance import g_delta, g_ls, wls_objective
+from .guidance import g_delta, wls_objective
 from .linops import DenseOperator
 
 __all__ = [
@@ -462,10 +462,10 @@ def claim1_check(n_instances: int = 25, seed: int = 1100) -> CheckResult:
         x_sol = rng.standard_normal(n)
         y = op.apply(x_sol)
         at_sol = [np.linalg.norm(g_delta(op, x_sol, y, delta, eta, 1.0)),
-                  np.linalg.norm(g_ls(op, x_sol, y, 1.0))]
+                  np.linalg.norm(g_delta(op, x_sol, y, 1.0, eta, 1.0))]
         x_off = x_sol + rng.standard_normal(n)
         off_sol = [np.linalg.norm(g_delta(op, x_off, y, delta, eta, 1.0)),
-                   np.linalg.norm(g_ls(op, x_off, y, 1.0))]
+                   np.linalg.norm(g_delta(op, x_off, y, 1.0, eta, 1.0))]
         if max(at_sol) > tol or min(off_sol) <= tol:
             return CheckResult(
                 "claim1", False,

@@ -8,9 +8,7 @@ from pgrestore.guidance import (
     default_ls_scale,
     delta_schedule,
     eta_from_noise,
-    g_bp,
     g_delta,
-    g_ls,
     guide,
     make_guided_step,
     mu_schedule,
@@ -35,6 +33,16 @@ def dense_instance(rng, m=5, n=8):
     x = rng.standard_normal(n)
     y = rng.standard_normal(m)
     return op, x, y
+
+
+def g_bp(op, x, y, eta):
+    """Back-projection direction: g_delta at delta = 0."""
+    return g_delta(op, x, y, 0.0, eta, 1.0)
+
+
+def g_ls(op, x, y, c):
+    """Scaled least-squares gradient: g_delta at delta = 1."""
+    return g_delta(op, x, y, 1.0, 0.0, c)
 
 
 class TestDirections:
@@ -84,15 +92,24 @@ class TestDirections:
 
 class TestGDelta:
     def test_endpoints_bitwise(self, rng):
+        # delta = 0 is the dense BP formula and ignores c; delta = 1 is
+        # c A^T r and ignores eta (theory.claim1_check relies on that)
         op, x, y = dense_instance(rng)
-        assert np.array_equal(g_delta(op, x, y, 0.0, 0.1, 1.0), g_bp(op, x, y, 0.1))
+        a = op.matrix
+        r = a @ x - y
+        bp = a.T @ np.linalg.solve(a @ a.T + 0.1 * np.eye(len(y)), r)
+        assert np.array_equal(g_delta(op, x, y, 0.0, 0.1, 1.0), bp)
+        assert np.array_equal(g_delta(op, x, y, 0.0, 0.1, 2.0), bp)
+        assert np.array_equal(g_delta(op, x, y, 1.0, 0.1, 2.0), a.T @ (2.0 * r))
         assert np.array_equal(g_delta(op, x, y, 1.0, 0.1, 2.0), g_ls(op, x, y, 2.0))
 
     def test_midpoint_average(self, rng):
         op, x, y = dense_instance(rng)
         mid = g_delta(op, x, y, 0.5, 0.1, 1.0)
-        avg = 0.5 * (g_bp(op, x, y, 0.1) + g_ls(op, x, y, 1.0))
-        np.testing.assert_allclose(mid, avg, rtol=0, atol=1e-12)
+        a = op.matrix
+        r = a @ x - y
+        bp = a.T @ np.linalg.solve(a @ a.T + 0.1 * np.eye(len(y)), r)
+        np.testing.assert_allclose(mid, 0.5 * (bp + a.T @ r), rtol=0, atol=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=30, deadline=None)
@@ -272,6 +289,40 @@ class TestGuidedStep:
         expected_x, *expected = guide(op, x0, y, delta, eta, c, mu)
         assert np.linalg.norm(x - expected_x) <= 1e-10 * np.linalg.norm(expected_x)
         np.testing.assert_allclose(numbers, expected, rtol=1e-10, atol=0)
+
+    @given(
+        channels=st.sampled_from([1, 3]),
+        grid=st.sampled_from([(16, 16), (15, 17)]),
+        delta=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+        eta=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+        c=st.floats(min_value=0.1, max_value=2.0),
+        mu=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.5)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mask_step_matches_guide(self, channels, grid, delta, eta, c, mu, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random(grid) < 0.5
+        mask[0, 0] = True
+        op = Mask(mask, (channels, *grid))
+        x0 = rng.standard_normal(op.input_shape)
+        y = rng.standard_normal(op.output_shape)
+        x, *numbers = make_guided_step(op, y, eta, c)(x0, delta, mu)
+        expected_x, *expected = guide(op, x0, y, delta, eta, c, mu)
+        assert np.linalg.norm(x - expected_x) <= 1e-10 * np.linalg.norm(expected_x)
+        np.testing.assert_allclose(numbers[:2], expected[:2], rtol=1e-10, atol=0)
+        # 1 - mu W can be exactly 0 here, where guide leaves rounding noise
+        np.testing.assert_allclose(numbers[2:], expected[2:], rtol=1e-10,
+                                   atol=1e-12 * expected[1])
+
+    def test_dense_step_is_guide(self, rng):
+        op, x0, y = dense_instance(rng)
+        step = make_guided_step(op, y, 0.1, 1.3)
+        for delta in (0.0, 0.4, 1.0):
+            got_x, *got = step(x0, delta, 0.8)
+            expected_x, *expected = guide(op, x0, y, delta, 0.1, 1.3, 0.8)
+            assert np.array_equal(got_x, expected_x)
+            assert got == expected
 
     def test_vanishing_gram_spectrum_at_eta_zero(self, rng):
         # Taps 2 rows apart null frequency rows h/4 and 3h/4, a whole s = 2

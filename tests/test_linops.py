@@ -301,9 +301,11 @@ def test_normalized_blur_has_unit_spectral_norm():
 @pytest.mark.parametrize("make_output", [
     lambda x: CircularConvolution(gaussian_kernel(5, 2.0), x.shape).apply(x),
     lambda x: fourier_filter(x, np.fft.rfft2(np.eye(x.shape[1], x.shape[2]))),
-], ids=["conv-apply", "fourier_filter"])
+    lambda x: DownsampleConvolution(bicubic_kernel(2), 2, x.shape).apply(x),
+], ids=["conv-apply", "fourier_filter", "sr2-apply"])
 def test_filter_output_owns_its_data(rng, make_output):
-    # a strided view of a complex buffer would hold twice the bytes it shows
+    # a strided view (of a complex buffer, or of the fine grid before
+    # subsampling) would hold more bytes than it shows
     out = make_output(rng.standard_normal((2, 12, 10)))
     assert out.flags.c_contiguous
     assert out.base is None or out.base.nbytes == out.nbytes

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import pgrestore.schemes as schemes
 from pgrestore.denoisers import Identity, WienerMMSE, WienerPrior
+from pgrestore.guidance import make_guided_step
 from pgrestore.kernels import bicubic_kernel, delta_kernel, gaussian_kernel
 from pgrestore.linops import CircularConvolution, DownsampleConvolution, Mask
 from pgrestore.metrics import NoiseSpec, degrade, psnr
@@ -86,6 +87,13 @@ class TestPointwiseFormulas:
         np.testing.assert_allclose(
             eps_effective(x_t, np.zeros(SHAPE), abar), x_t / np.sqrt(1 - abar), atol=1e-14
         )
+
+    def test_eps_effective_leaves_inputs_alone(self, rng):
+        x_t, x_clean = rng.standard_normal(SHAPE), rng.standard_normal(SHAPE)
+        copies = x_t.copy(), x_clean.copy()
+        out = eps_effective(x_t, x_clean, 0.4)
+        assert np.array_equal(x_t, copies[0]) and np.array_equal(x_clean, copies[1])
+        assert not np.shares_memory(out, x_t) and not np.shares_memory(out, x_clean)
 
     def test_eps_effective_guards_alpha_one(self, rng):
         with pytest.raises(ValueError):
@@ -309,7 +317,37 @@ def test_fft_calls_per_iteration(monkeypatch, method, task, per_iteration):
     assert calls[0] == per_iteration * cfg.T
 
 
+def ddpg_out_of_place(denoiser, op, y, cfg):
+    """ddpg_run with every re-noising product in a fresh array."""
+    step = make_guided_step(op, y, cfg.eta, cfg.c)
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.standard_normal(op.input_shape)
+    abar_full = cfg.schedule.alpha_bar
+    for t in range(cfg.T, 0, -1):
+        abar, abar_prev = abar_full[t], abar_full[t - 1]
+        x0 = denoiser(x / np.sqrt(abar), float(np.sqrt((1.0 - abar) / abar)))
+        x_guided = step(x0, float(cfg.delta[t - 1]), cfg.mu[t - 1])[0]
+        eps_hat = (x - np.sqrt(abar) * x_guided) / np.sqrt(1.0 - abar)
+        eps = rng.standard_normal(op.input_shape)
+        noise = cfg.w[t - 1] * np.sqrt(1.0 - cfg.zeta) * eps_hat + np.sqrt(cfg.zeta) * eps
+        x = np.sqrt(abar_prev) * x_guided + np.sqrt(1.0 - abar_prev) * noise
+    return x
+
+
 class TestDDPG:
+    @pytest.mark.parametrize("task", ["mask", "blur"])
+    def test_in_place_renoising_is_bitwise(self, task):
+        op, prior, x_star, y = blur_setup(seed=23, sigma_e=0.05)
+        if task == "mask":
+            mask = np.random.default_rng(3).random((16, 16)) < 0.5
+            op = Mask(mask, x_star.shape)
+            y = degrade(op, x_star, NoiseSpec(0.05, seed=4))
+        cfg = make_scheme_config("ddpg", make_ddpm_schedule(12), 0.05, zeta=0.3, seed=8,
+                                 step_size_policy="ddim-ratio")
+        denoiser = WienerMMSE(prior)
+        x, _ = ddpg_run(denoiser, op, y, cfg)
+        assert np.array_equal(x, ddpg_out_of_place(denoiser, op, y, cfg))
+
     def test_identity_noiseless_returns_measurement(self, rng):
         op = CircularConvolution(delta_kernel(1), SHAPE)
         y = rng.standard_normal(SHAPE)
