@@ -43,8 +43,8 @@ DEGRADE_OPTIONS = {
     "seed": (int, 0, "noise seed"),
 }
 
-# T, the beta endpoints and c are fixed convention; the rest are starting
-# points that flags or a config file override per task.
+# T and the beta endpoints are fixed convention (the LS scale is derived from
+# ||A||); the rest are starting points that flags or a config file override.
 RESTORE_OPTIONS = {
     "measurement": (str, None, "measurement tensor (.pgt)"),
     "sidecar": (str, None, "sidecar path (default <measurement>.meta)"),
@@ -55,7 +55,6 @@ RESTORE_OPTIONS = {
     "gamma": (float, 8.0, "BP-to-LS mix exponent, delta_t = alpha_bar_t ** gamma"),
     "zeta": (float, 0.5, "DDPG share of fresh noise, in [0, 1]"),
     "eta_tilde": (float, 0.7, "BP regularizer scale, eta = (2 sigma_e)^2 eta_tilde"),
-    "c": (float, 1.0, "LS step scale"),
     "T": (int, 100, "number of iterations"),
     "beta_start": (float, 1e-4, "first beta of the linear schedule"),
     "beta_end": (float, 0.02, "last beta of the linear schedule"),
@@ -184,7 +183,6 @@ def cmd_restore(args) -> int:
         cfg["sigma_e"],
         gamma=cfg["gamma"],
         eta_tilde=cfg["eta_tilde"],
-        c=cfg["c"],
         zeta=cfg["zeta"],
         seed=cfg["seed"],
         step_size_policy=cfg["step_size_policy"],

@@ -11,7 +11,6 @@ external adapter isolates each call in its own temporary workspace.
 
 from __future__ import annotations
 
-import functools
 import shlex
 import shutil
 import subprocess
@@ -122,26 +121,21 @@ class WienerPrior:
         return self.mean_image(channels) + fourier_filter(white, np.sqrt(self.half_spectrum))
 
 
-# The prior of WienerMMSE(prior=None): built, and checked, once per grid.
-_default_prior = functools.lru_cache(maxsize=8)(WienerPrior.smooth_default)
-
-
 class WienerMMSE:
     """Exact posterior-mean denoiser under a :class:`WienerPrior`.
 
     Per frequency f of the half spectrum: mean(f) + p(f) / (p(f) + sigma^2)
-    * (x(f) - mean(f)). With ``prior=None`` the smooth default prior for
-    the input's grid is used. sigma = 0 returns the input untouched.
+    * (x(f) - mean(f)). sigma = 0 returns the input untouched.
     """
 
-    def __init__(self, prior: WienerPrior | None = None):
+    def __init__(self, prior: WienerPrior):
         self.prior = prior
 
     def __call__(self, x: np.ndarray, sigma: float) -> np.ndarray:
         _check_sigma(sigma)
         if sigma == 0.0:
             return x
-        prior = self.prior if self.prior is not None else _default_prior(x.shape[1:])
+        prior = self.prior
         if prior.spectrum.shape != x.shape[1:]:
             raise ValueError(
                 f"prior grid {prior.spectrum.shape} does not match image {x.shape[1:]}"
@@ -207,11 +201,11 @@ def _check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
 
 
-def make_denoiser(spec: str, prior: WienerPrior | None = None):
+def make_denoiser(spec: str, prior: WienerPrior):
     """Build a denoiser from a CLI-style spec string.
 
-    Accepted forms: "identity", "wiener", "gauss", "gauss:<kappa>",
-    "external:<command line>".
+    Accepted forms: "identity", "wiener" (``WienerMMSE(prior)``), "gauss",
+    "gauss:<kappa>", "external:<command line>".
     """
     if spec == "identity":
         return Identity()

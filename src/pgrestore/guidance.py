@@ -15,11 +15,13 @@ roots. ``guide`` takes one guided step and returns the objective and
 residual before and after it, computing each residual and Gram solve
 once; it is the reference for every faster form.
 
-``make_guided_step`` checks a run's arguments and asks the operator for
-the step it takes T times, for a fixed y (``LinearOperator.guided_step``):
+``make_guided_step`` derives c = min(1, 1/||A||^2) from ``op.norm`` and
+asks the operator for the step a run takes T times (``guided_step``):
 blur and downsampling take a Fourier-domain form (one rfft2 and one
 irfft2 per step), masks a full-grid form with no transform, both equal
-to ``guide`` up to rounding; every other operator calls ``guide``.
+to ``guide`` up to rounding; every other operator calls ``guide``. With
+c ||A||^2 <= 1 and mu in [0, 1] (``SchemeConfig``), each mode's residual
+factor 1 - mu lambda^2 w lies in [0, 1]: no step raises the data term.
 
 The schedules (``delta_schedule``, ``mu_schedule``, ``eta_from_noise``)
 return plain numbers and arrays; :class:`pgrestore.schemes.SchemeConfig`
@@ -99,31 +101,20 @@ def guide(op: LinearOperator, x0, y, delta: float, eta: float, c: float, mu: flo
             0.5 * float(np.vdot(r_after, w_r_after)), float(np.linalg.norm(r_after)))
 
 
-def make_guided_step(op: LinearOperator, y, eta: float, c: float):
+def make_guided_step(op: LinearOperator, y, eta: float):
     """Build the guided step of one run, for a fixed y.
 
-    ``step(x0, delta, mu)`` returns what ``guide(op, x0, y, delta, eta,
-    c, mu)`` returns. Checks y's shape, eta >= 0 and c > 0 here, and
-    delta in [0, 1] and x0's shape on every call; the step itself is
-    ``op.guided_step(y, eta, c)``, which a blur, downsampling or mask
-    operator takes in a faster form equal to ``guide`` up to rounding.
+    Checks y's shape and eta >= 0, and returns ``op.guided_step(y, eta,
+    default_ls_scale(op))``: ``step(x0, delta, mu)``, which returns what
+    ``guide(op, x0, y, delta, eta, c, mu)`` does, up to rounding. delta
+    and x0 are not checked per call: ``SchemeConfig`` holds delta in
+    [0, 1], and the loops check the denoiser's output shape.
     """
     y = np.asarray(y, dtype=float)
     _check_shape("measurement", y, op.output_shape)
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    take_step = op.guided_step(y, eta, c)
-
-    def step(x0, delta, mu):
-        if not 0.0 <= delta <= 1.0:
-            raise ValueError(f"delta must lie in [0, 1], got {delta}")
-        x0 = np.asarray(x0, dtype=float)
-        _check_shape("input", x0, op.input_shape)
-        return take_step(x0, delta, mu)
-
-    return step
+    return op.guided_step(y, eta, default_ls_scale(op))
 
 
 def delta_schedule(alpha_bar, gamma: float, sigma_e: float):
@@ -176,5 +167,9 @@ def mu_schedule(alpha_bar_full, policy: str) -> np.ndarray:
 
 
 def default_ls_scale(op: LinearOperator) -> float:
-    """LS scale c guaranteeing single-step descent: 1 when ||A|| <= 1, else 1/||A||^2."""
-    return 1.0 if op.norm <= 1.0 else 1.0 / op.norm**2
+    """LS scale c = min(1, 1/||A||^2), so c ||A||^2 <= 1 and an LS step descends.
+
+    Exactly 1 while ||A||^2 <= 1 + 1e-12: a unit-sum kernel's norm can round above 1.
+    """
+    norm_sq = op.norm**2
+    return 1.0 if norm_sq <= 1.0 + 1e-12 else 1.0 / norm_sq

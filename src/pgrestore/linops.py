@@ -198,7 +198,8 @@ class LinearOperator:
     def guided_step(self, y, eta, c):
         """``step(x0, delta, mu)``, which returns ``guide(self, x0, y, delta, eta, c, mu)``.
 
-        Arguments are not checked here: ``guidance.make_guided_step`` does.
+        Nothing is checked here: ``guidance.make_guided_step`` checks y and
+        eta and supplies c; a run's ``SchemeConfig`` holds delta in [0, 1].
         """
         from .guidance import guide  # guidance imports this module
 
@@ -286,7 +287,7 @@ class DownsampleConvolution(LinearOperator):
         follow by Parseval. Everything lives on the rfft2 half grid, so a
         call takes one rfft2 and one irfft2; for s > 1 the fold and its
         adjoint pass through the full coarse width by Hermitian symmetry.
-        Arguments are not checked here: ``guidance.make_guided_step`` does.
+        Nothing is checked here, as in ``LinearOperator.guided_step``.
         """
         s = self.scale
         channels, h, w = self.input_shape
@@ -395,8 +396,8 @@ class Mask(LinearOperator):
 
         A A^T = I makes W the scalar (1 - delta)/(1 + eta) + delta c, exactly
         c at delta = 1. With r = mask x0 - A^T y (zero off the mask), x = x0 -
-        mu W r and the residual after the step is (1 - mu W) r. Arguments are
-        checked by ``guidance.make_guided_step``.
+        mu W r and the residual after the step is (1 - mu W) r. Nothing is
+        checked here, as in ``LinearOperator.guided_step``.
         """
         y_full = self._apply_adjoint(y)
         mask = self.mask.astype(float)

@@ -27,9 +27,9 @@ Conventions baked in here and surfaced in the docstrings:
 * One seeded random stream per run, consumed in a fixed order: the
   initial draw first, then one fresh-noise draw per iteration (drawn
   even when its weight is zero), so runs are reproducible bit for bit.
-* A non-finite denoiser output, or a non-finite objective or residual
-  around the guided step, raises RuntimeError naming t and the stage
-  (denoise or guide).
+* A denoiser output that is non-finite or not of the image's shape, or
+  a non-finite objective or residual around the guided step, raises
+  RuntimeError naming t and the stage (denoise or guide).
 
 A single run is sequential; concurrent runs share nothing mutable.
 """
@@ -123,19 +123,18 @@ def eps_effective(x_t: np.ndarray, x_clean: np.ndarray, alpha_bar_t: float) -> n
 class SchemeConfig:
     """Everything a restoration run needs besides the operator and denoiser.
 
-    ``eta`` is the BP regularizer and ``c`` the LS scale of the guidance
-    weighting. ``mu`` (step sizes), ``delta`` (BP-to-LS mix) and ``w``
-    (DDPG effective-noise weights) are arrays of length T; entry i applies
-    at iteration t = i + 1. ``delta`` must be non-increasing along t, i.e.
-    the mix moves monotonically from BP toward LS as t decreases. idbp
-    pins delta = 0 and pgm_ls pins delta = 1. ``zeta`` is DDPG's share of
-    fresh noise and ``seed`` its random stream.
+    ``eta`` is the BP regularizer; the LS scale c is derived per run from
+    ||A|| (``guidance.make_guided_step``). ``mu`` (step sizes, in [0, 1]),
+    ``delta`` (BP-to-LS mix) and ``w`` (DDPG effective-noise weights) are
+    arrays of length T; entry i applies at iteration t = i + 1. ``delta``
+    must be non-increasing along t, i.e. the mix moves monotonically from
+    BP toward LS as t decreases. idbp pins delta = 0 and pgm_ls pins delta
+    = 1. ``zeta`` is DDPG's share of fresh noise and ``seed`` its random stream.
     """
 
     method: str
     schedule: DiffusionSchedule
     eta: float
-    c: float
     mu: np.ndarray
     delta: np.ndarray
     w: np.ndarray
@@ -153,11 +152,9 @@ class SchemeConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.eta < 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
         # The ddim-ratio policy yields mu = 0 at t = 1, so zero is allowed.
-        if np.any(self.mu < 0):
-            raise ValueError("step sizes must be nonnegative")
+        if np.any(self.mu < 0) or np.any(self.mu > 1):
+            raise ValueError("step sizes must lie in [0, 1]")
         if np.any(self.delta < 0) or np.any(self.delta > 1):
             raise ValueError("delta values must lie in [0, 1]")
         if np.any(np.diff(self.delta) > _MONOTONE_SLACK):
@@ -182,7 +179,6 @@ def make_scheme_config(
     gamma: float = 8.0,
     eta_tilde: float = 0.7,
     eta: float | None = None,
-    c: float = 1.0,
     zeta: float = 0.5,
     seed: int = 0,
     step_size_policy: str = "unit",
@@ -209,7 +205,6 @@ def make_scheme_config(
         method=method,
         schedule=schedule,
         eta=float(eta),
-        c=float(c),
         mu=mu_schedule(schedule.alpha_bar, step_size_policy),
         delta=delta,
         w=w,
@@ -253,6 +248,9 @@ def _denoiser_step(denoiser, x, sigma, t):
         out = np.asarray(denoiser(x, sigma), dtype=float)
     except Exception as exc:
         raise RuntimeError(f"denoiser failed at iteration t={t}: {exc}") from exc
+    if out.shape != x.shape:
+        raise RuntimeError(f"denoiser returned shape {out.shape}, expected {x.shape}, "
+                           f"at iteration t={t}, stage denoise")
     if not np.isfinite(out).all():
         raise RuntimeError(f"non-finite iterate at iteration t={t}, stage denoise")
     return out
@@ -278,7 +276,7 @@ def idpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     """
     y = np.asarray(y, dtype=float)
     sched = cfg.schedule
-    step = make_guided_step(op, y, cfg.eta, cfg.c)
+    step = make_guided_step(op, y, cfg.eta)
     x = op.apply_reg_pinv(y, cfg.eta)
     rows = []
     for t in range(sched.T, 0, -1):
@@ -303,7 +301,7 @@ def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     """
     y = np.asarray(y, dtype=float)
     sched = cfg.schedule
-    step = make_guided_step(op, y, cfg.eta, cfg.c)
+    step = make_guided_step(op, y, cfg.eta)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal(op.input_shape)
     sqrt_keep = np.sqrt(1.0 - cfg.zeta)

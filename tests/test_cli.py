@@ -50,7 +50,7 @@ class TestSurface:
         assert subcommand_flags("restore") == {
             "-h", "--help", "--measurement", "--sidecar", "--output", "--method", "--denoiser",
             "--task", "--kernel", "--scale", "--mask", "--sigma-e", "--gamma", "--zeta",
-            "--eta-tilde", "--c", "--T", "--beta-start", "--beta-end", "--seed",
+            "--eta-tilde", "--T", "--beta-start", "--beta-end", "--seed",
             "--step-size-policy", "--export-image", "--config",
         }
 
@@ -238,6 +238,32 @@ class TestRestore:
         code = main(["restore", "--config", str(workspace / "x.pgt.cfg")])
         assert code == 0
         assert file_hash(workspace / "x.pgt") == first
+        # a config from when the LS scale was a setting still reproduces: the
+        # unknown key is ignored, and a unit-sum blur derives c = 1 exactly
+        io.write_config(workspace / "old.cfg", {**echoed, "c": "1.0"})
+        (workspace / "x.pgt").unlink()
+        assert main(["restore", "--config", str(workspace / "old.cfg")]) == 0
+        assert file_hash(workspace / "x.pgt") == first
+
+    def test_kernel_with_norm_three_restores_finite(self, workspace):
+        # taps summing to 3 make ||A|| = 3; the derived LS scale 1/9 keeps
+        # the pure-LS run bounded, and the echoed config records no scale
+        io.write_kernel(workspace / "gauss3.txt", 3.0 * gaussian_kernel(5, 1.0))
+        main([
+            "degrade", "--input", str(workspace / "source.pgm"),
+            "--output", str(workspace / "y.pgt"),
+            "--task", "deblur", "--kernel", str(workspace / "gauss3.txt"),
+            "--sigma-e", "0.05", "--seed", "2",
+        ])
+        code = main([
+            "restore", "--measurement", str(workspace / "y.pgt"),
+            "--output", str(workspace / "x.pgt"),
+            "--method", "pgm_ls", "--denoiser", "wiener", "--T", "30",
+        ])
+        assert code == 0
+        x = io.read_tensor(workspace / "x.pgt")
+        assert np.isfinite(x).all() and np.abs(x).max() < 10.0
+        assert "c" not in io.read_config(workspace / "x.pgt.cfg")
 
     def test_hash_in_output_path_round_trips(self, workspace):
         self.degrade_identity(workspace)

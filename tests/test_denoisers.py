@@ -22,7 +22,7 @@ SHAPE = (1, 12, 12)
 class TestWienerMMSE:
     def test_sigma_zero_is_exact_identity(self, rng):
         x = rng.standard_normal(SHAPE)
-        out = WienerMMSE()(x, 0.0)
+        out = WienerMMSE(WienerPrior.smooth_default(SHAPE[1:]))(x, 0.0)
         assert np.array_equal(out, x)
 
     def test_flat_spectrum_halves_everything(self, rng):
@@ -74,20 +74,13 @@ class TestWienerMMSE:
 
     def test_negative_sigma_rejected(self, rng):
         with pytest.raises(ValueError):
-            WienerMMSE()(rng.standard_normal(SHAPE), -1.0)
+            WienerMMSE(WienerPrior.smooth_default(SHAPE[1:]))(rng.standard_normal(SHAPE), -1.0)
 
     def test_grid_mismatch_rejected(self, rng):
         prior = WienerPrior.smooth_default((8, 8))
         with pytest.raises(ValueError):
             WienerMMSE(prior)(rng.standard_normal(SHAPE), 0.5)
 
-    def test_default_prior_built_once_per_grid(self, monkeypatch, rng):
-        x = rng.standard_normal((2, 13, 14))
-        denoiser = WienerMMSE()
-        first = denoiser(x, 0.3)
-        monkeypatch.setattr(WienerPrior, "smooth_default", None)  # a rebuild would fail
-        assert np.array_equal(denoiser(x, 0.3), first)
-        assert np.array_equal(first, WienerMMSE()(x, 0.3))
 
 
 def _full_grid_filter(x, response):
@@ -214,15 +207,16 @@ class TestExternalDenoiser:
         _write_script(
             script,
             "import sys\n"
-            "from pgrestore.denoisers import WienerMMSE\n"
+            "from pgrestore.denoisers import WienerMMSE, WienerPrior\n"
             "from pgrestore.io import read_tensor, write_tensor\n"
             "x = read_tensor(sys.argv[1])\n"
-            "write_tensor(sys.argv[2], WienerMMSE()(x, float(sys.argv[3])))\n",
+            "prior = WienerPrior.smooth_default(x.shape[1:])\n"
+            "write_tensor(sys.argv[2], WienerMMSE(prior)(x, float(sys.argv[3])))\n",
         )
         denoiser = ExternalDenoiser([sys.executable, str(script)])
         x = rng.standard_normal(SHAPE)
         external = denoiser(x, 0.4)
-        internal = WienerMMSE()(x, 0.4)
+        internal = WienerMMSE(WienerPrior.smooth_default(SHAPE[1:]))(x, 0.4)
         assert np.linalg.norm(external - internal) <= 1e-6 * np.linalg.norm(internal)
 
     def test_runs_failure_context_in_scheme(self, tmp_path, rng):
@@ -239,14 +233,16 @@ class TestExternalDenoiser:
 
 class TestFactory:
     def test_specs(self):
-        assert isinstance(make_denoiser("identity"), Identity)
-        assert isinstance(make_denoiser("wiener"), WienerMMSE)
-        assert isinstance(make_denoiser("gauss"), GaussianSmooth)
-        assert make_denoiser("gauss:2.5").kappa == 2.5
-        external = make_denoiser("external:python3 run.py --flag")
+        prior = WienerPrior.smooth_default(SHAPE[1:])
+        assert isinstance(make_denoiser("identity", prior), Identity)
+        wiener = make_denoiser("wiener", prior)
+        assert isinstance(wiener, WienerMMSE) and wiener.prior is prior
+        assert isinstance(make_denoiser("gauss", prior), GaussianSmooth)
+        assert make_denoiser("gauss:2.5", prior).kappa == 2.5
+        external = make_denoiser("external:python3 run.py --flag", prior)
         assert external.cmd == ("python3", "run.py", "--flag")
         with pytest.raises(ValueError):
-            make_denoiser("bm3d")
+            make_denoiser("bm3d", prior)
 
 
 def test_tensor_round_trip_via_files(tmp_path, rng):

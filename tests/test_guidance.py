@@ -285,7 +285,7 @@ class TestGuidedStep:
         op = _spectral_operator(kind, channels)
         x0 = rng.standard_normal(op.input_shape)
         y = rng.standard_normal(op.output_shape)
-        x, *numbers = make_guided_step(op, y, eta, c)(x0, delta, mu)
+        x, *numbers = op.guided_step(y, eta, c)(x0, delta, mu)
         expected_x, *expected = guide(op, x0, y, delta, eta, c, mu)
         assert np.linalg.norm(x - expected_x) <= 1e-10 * np.linalg.norm(expected_x)
         np.testing.assert_allclose(numbers, expected, rtol=1e-10, atol=0)
@@ -307,7 +307,7 @@ class TestGuidedStep:
         op = Mask(mask, (channels, *grid))
         x0 = rng.standard_normal(op.input_shape)
         y = rng.standard_normal(op.output_shape)
-        x, *numbers = make_guided_step(op, y, eta, c)(x0, delta, mu)
+        x, *numbers = op.guided_step(y, eta, c)(x0, delta, mu)
         expected_x, *expected = guide(op, x0, y, delta, eta, c, mu)
         assert np.linalg.norm(x - expected_x) <= 1e-10 * np.linalg.norm(expected_x)
         np.testing.assert_allclose(numbers[:2], expected[:2], rtol=1e-10, atol=0)
@@ -317,7 +317,7 @@ class TestGuidedStep:
 
     def test_dense_step_is_guide(self, rng):
         op, x0, y = dense_instance(rng)
-        step = make_guided_step(op, y, 0.1, 1.3)
+        step = op.guided_step(y, 0.1, 1.3)
         for delta in (0.0, 0.4, 1.0):
             got_x, *got = step(x0, delta, 0.8)
             expected_x, *expected = guide(op, x0, y, delta, 0.1, 1.3, 0.8)
@@ -331,7 +331,7 @@ class TestGuidedStep:
         for op in (_box_blur((2, 12, 12)), DownsampleConvolution(comb, 2, (2, 12, 16))):
             x0 = rng.standard_normal(op.input_shape)
             y = rng.standard_normal(op.output_shape)
-            step = make_guided_step(op, y, 0.0, 1.0)
+            step = op.guided_step(y, 0.0, 1.0)
             x, *numbers = step(x0, 1.0, 1.0)
             expected_x, *expected = guide(op, x0, y, 1.0, 0.0, 1.0, 1.0)
             assert np.linalg.norm(x - expected_x) <= 1e-10 * np.linalg.norm(expected_x)
@@ -360,17 +360,12 @@ class TestGuidedStep:
         op = _guide_operator(kind, rng)
         x0 = rng.standard_normal(op.input_shape)
         y = rng.standard_normal(op.output_shape)
-        for eta, c in ((-0.1, 1.0), (0.1, 0.0), (0.1, -1.0)):
-            with pytest.raises(ValueError, match="eta must be nonnegative|c must be positive"):
-                make_guided_step(op, y, eta, c)
+        with pytest.raises(ValueError, match="eta must be nonnegative"):
+            make_guided_step(op, y, -0.1)
         with pytest.raises(ShapeMismatchError):
-            make_guided_step(op, y[..., :-1], 0.1, 1.0)
-        step = make_guided_step(op, y, 0.1, 1.0)
-        for delta in (-0.1, 1.5):
-            with pytest.raises(ValueError, match="delta must lie in"):
-                step(x0, delta, 1.0)
-        with pytest.raises(ShapeMismatchError):
-            step(x0[..., :-1], 0.5, 1.0)
+            make_guided_step(op, y[..., :-1], 0.1)
+        x, *numbers = make_guided_step(op, y, 0.1)(x0, 0.5, 1.0)
+        assert x.shape == x0.shape and np.isfinite(numbers).all()
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0])
@@ -427,5 +422,11 @@ class TestSchedules:
 def test_default_ls_scale(rng):
     blur = CircularConvolution(gaussian_kernel(5, 10.0), (1, 16, 16))
     assert default_ls_scale(blur) == 1.0
+    # unit-sum taps whose computed norm is 1 + 2.2e-16: still exactly 1
+    blur = CircularConvolution(gaussian_kernel(5, 2.0), (1, 16, 16))
+    assert blur.norm > 1.0 and default_ls_scale(blur) == 1.0
+    for scale in (2, 4):  # matched bicubic: ||A|| = 1/s
+        sr = DownsampleConvolution(bicubic_kernel(scale), scale, (1, 16, 16))
+        assert default_ls_scale(sr) == 1.0
     big = DenseOperator(3.0 * np.eye(8))
-    assert default_ls_scale(big) == pytest.approx(1.0 / 9.0, rel=1e-6)
+    assert default_ls_scale(big) == pytest.approx(1.0 / 9.0, rel=1e-12)

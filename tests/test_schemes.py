@@ -140,14 +140,13 @@ class TestSchemeConfig:
 
     def test_config_validation(self):
         sched = make_ddpm_schedule(3)
-        good = dict(method="idpg", schedule=sched, eta=0.1, c=1.0, mu=np.ones(3),
+        good = dict(method="idpg", schedule=sched, eta=0.1, mu=np.ones(3),
                     delta=np.array([0.9, 0.5, 0.1]), w=np.ones(3))
         assert SchemeConfig(**good).T == 3
         for bad, message in (
             (dict(eta=-1.0), "eta must be nonnegative"),
-            (dict(c=0.0), "c must be positive"),
-            (dict(c=-1.0), "c must be positive"),
             (dict(mu=np.array([1.0, -0.5, 1.0])), "step sizes"),
+            (dict(mu=np.array([1.0, 1.5, 1.0])), "step sizes"),
             (dict(w=np.ones(4)), "w must have shape"),
             (dict(delta=np.array([0.1, 0.5, 0.9])), "non-increasing"),  # increasing in t
             (dict(delta=np.array([1.5, 0.5, 0.1])), r"\[0, 1\]"),
@@ -208,7 +207,7 @@ class TestIDPG:
         op, prior, _, y = blur_setup(seed=9, sigma_e=0.05)
         denoiser = WienerMMSE(prior)
         sched = make_ddpm_schedule(12)
-        cfg = make_scheme_config("pgm_ls", sched, 0.05, c=1.0)
+        cfg = make_scheme_config("pgm_ls", sched, 0.05)
         x, _ = idpg_run(denoiser, op, y, cfg)
 
         ref = op.apply_reg_pinv(y, cfg.eta)
@@ -270,12 +269,48 @@ class TestNonFinite:
             run_scheme(self.nan_on_third_call(prior), op, y, cfg)
 
     @pytest.mark.parametrize("method", ["idpg", "ddpg"])
+    def test_wrong_shape_from_denoiser_names_iteration_and_stage(self, method):
+        # a runtime fault of the denoiser, not a validation error
+        op, prior, _, y = blur_setup(seed=25, sigma_e=0.05)
+        cfg = make_scheme_config(method, make_ddpm_schedule(6), 0.05)
+        with pytest.raises(RuntimeError, match=r"shape \(16, 16\).*t=6, stage denoise"):
+            run_scheme(lambda x, sigma: x[0], op, y, cfg)
+
+    @pytest.mark.parametrize("method", ["idpg", "ddpg"])
     def test_overflowing_data_term_names_iteration_and_stage(self, method):
         # finite denoiser output whose squared residual overflows
         op, _, _, y = blur_setup(seed=27, sigma_e=0.05)
         cfg = make_scheme_config(method, make_ddpm_schedule(6), 0.05)
         with np.errstate(over="ignore"), pytest.raises(RuntimeError, match=r"t=6, stage guide"):
             run_scheme(lambda x, sigma: np.full(SHAPE, 1e200), op, y, cfg)
+
+
+@given(
+    kind=st.sampled_from(["blur", "sr2"]),
+    gain=st.floats(min_value=0.2, max_value=5.0),
+    method=st.sampled_from(schemes.METHODS),
+    policy=st.sampled_from(["unit", "ddim-ratio"]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_no_guided_step_raises_the_data_term(kind, gain, method, policy, seed):
+    # The LS scale c = min(1, 1/||A||^2) and mu in [0, 1] keep every mode's
+    # residual factor 1 - mu lambda^2 w in [0, 1], whatever the gain on A.
+    shape = SHAPE
+    if kind == "blur":
+        op = CircularConvolution(gain * gaussian_kernel(5, 1.0), shape)
+    else:
+        op = DownsampleConvolution(gain * bicubic_kernel(2), 2, shape)
+    prior = WienerPrior.smooth_default(shape[1:], amplitude=16.0)
+    rng = np.random.default_rng(seed)
+    y = degrade(op, prior.sample(rng), NoiseSpec(0.05, seed=seed))
+    cfg = make_scheme_config(method, make_ddpm_schedule(20), 0.05, seed=seed,
+                             step_size_policy=policy)
+    x, trace = run_scheme(WienerMMSE(prior), op, y, cfg)
+    assert np.isfinite(x).all()
+    slack = 1.0 + 1e-12
+    assert np.all(trace.objective_after <= trace.objective * slack)
+    assert np.all(trace.residual_after <= trace.residual * slack)
 
 
 @pytest.mark.parametrize("method", ["idpg", "ddpg"])
@@ -319,7 +354,7 @@ def test_fft_calls_per_iteration(monkeypatch, method, task, per_iteration):
 
 def ddpg_out_of_place(denoiser, op, y, cfg):
     """ddpg_run with every re-noising product in a fresh array."""
-    step = make_guided_step(op, y, cfg.eta, cfg.c)
+    step = make_guided_step(op, y, cfg.eta)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal(op.input_shape)
     abar_full = cfg.schedule.alpha_bar
