@@ -14,6 +14,7 @@ claims), 2 validation failure (bad flags, missing or malformed files).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -67,6 +68,12 @@ RESTORE_OPTIONS = {
     "mask": (str, None, "override the sidecar's mask file"),
 }
 
+# Keys a config file may hold besides a command's settings: the image shape
+# that degrade adds to its .meta sidecar, and retired settings, which old
+# echoed files still carry (the LS scale c is now derived from ||A||).
+SIDECAR_SHAPE_KEYS = ("channels", "height", "width")
+RETIRED_KEYS = ("c",)
+
 
 def _coerce(options: dict, key: str, value):
     if value is None or not isinstance(value, str):
@@ -76,13 +83,19 @@ def _coerce(options: dict, key: str, value):
     return options[key][0](value)
 
 
-def _resolve(options: dict, config_path, flag_values: dict) -> dict:
-    """defaults < config file < explicit flags; unknown config keys ignored."""
+def _resolve(options: dict, config_path, flag_values: dict, echoed_keys=()) -> dict:
+    """defaults < config file < explicit flags.
+
+    A config key that is neither an option, one of ``echoed_keys`` nor a
+    retired key is a validation error, so a misspelled key is not dropped.
+    """
     resolved = {key: default for key, (_, default, _) in options.items()}
     if config_path:
         for key, value in io.read_config(config_path).items():
             if key in options:
                 resolved[key] = _coerce(options, key, value)
+            elif key not in echoed_keys and key not in RETIRED_KEYS:
+                raise ValueError(f"{config_path}: unknown config key {key!r}")
     for key, value in flag_values.items():
         if key in options and value is not None:
             resolved[key] = _coerce(options, key, value)
@@ -135,7 +148,7 @@ def _fit_measurement(y: np.ndarray, op, path) -> np.ndarray:
 
 
 def cmd_degrade(args) -> int:
-    cfg = _resolve(DEGRADE_OPTIONS, args.config, vars(args))
+    cfg = _resolve(DEGRADE_OPTIONS, args.config, vars(args), SIDECAR_SHAPE_KEYS)
     source = _read_source(cfg["input"])
     op = _build_operator(cfg, source.shape)
     y = degrade(op, source, NoiseSpec(sigma_e=cfg["sigma_e"], seed=cfg["seed"]))
@@ -145,12 +158,7 @@ def cmd_degrade(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     io.write_tensor(out, _measurement_to_3d(y))
     sidecar = dict(cfg)
-    sidecar.update(
-        output=str(out),
-        channels=source.shape[0],
-        height=source.shape[1],
-        width=source.shape[2],
-    )
+    sidecar.update(zip(SIDECAR_SHAPE_KEYS, source.shape), output=str(out))
     io.write_config(str(out) + ".meta", sidecar)
     print(f"wrote {out} and {out}.meta (sigma_e={cfg['sigma_e']}, seed={cfg['seed']})")
     return 0
@@ -166,7 +174,7 @@ def cmd_restore(args) -> int:
             cfg[key] = _coerce(RESTORE_OPTIONS, key, sidecar[key])
     if cfg["sigma_e"] is None:
         cfg["sigma_e"] = _coerce(RESTORE_OPTIONS, "sigma_e", sidecar.get("sigma_e", "0.0"))
-    image_shape = tuple(int(sidecar[k]) for k in ("channels", "height", "width"))
+    image_shape = tuple(int(sidecar[k]) for k in SIDECAR_SHAPE_KEYS)
 
     op = _build_operator(cfg, image_shape)
     y = io.read_tensor(meas_file)
@@ -279,10 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -406,7 +406,8 @@ class Mask(LinearOperator):
             weight = c if delta == 1.0 else (1.0 - delta) / (1.0 + eta) + delta * c
             r = np.multiply(x0, mask)
             r -= y_full
-            power, shrink = float(np.vdot(r, r)), 1.0 - mu * weight
+            # Not np.vdot: OpenBLAS's threaded dot spins a core that DDPG's draw-ahead needs.
+            power, shrink = float(np.einsum("ijk,ijk->", r, r)), 1.0 - mu * weight
             r *= -mu * weight  # x = x0 - mu W r, in r's buffer
             r += x0
             return (r, 0.5 * weight * power, np.sqrt(power),

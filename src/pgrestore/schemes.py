@@ -31,11 +31,15 @@ Conventions baked in here and surfaced in the docstrings:
   a non-finite objective or residual around the guided step, raises
   RuntimeError naming t and the stage (denoise or guide).
 
-A single run is sequential; concurrent runs share nothing mutable.
+A DDPG run on a large image makes its fresh draws in one worker thread,
+one iteration ahead, and joins it before it returns or raises. The
+operators' own guided steps and the denoisers make no BLAS call, so the
+draw gets a core of its own. Concurrent runs still share nothing mutable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -67,6 +71,11 @@ METHODS = ("idpg", "idbp", "pgm_ls", "ddpg")
 Denoiser = Callable[[np.ndarray, float], np.ndarray]
 
 _MONOTONE_SLACK = 1e-12
+
+# Fresh draws of at least this many values are made one iteration ahead in a
+# worker thread; a smaller draw costs less than the handoff and stays inline.
+# On a 2-CPU host a 64^2 DDPG inpaint run is 5 % slower threaded, 96^2 15 % faster.
+_DRAW_AHEAD_MIN_SIZE = 2**13
 
 
 @dataclass(frozen=True)
@@ -288,6 +297,43 @@ def idpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     return x, RunTrace.from_rows(rows)
 
 
+class _FreshNoise:
+    """A run's ``count`` fresh draws of ``shape`` from ``rng``, in stream order.
+
+    ``next(source)`` returns the next draw. A large draw is made in one
+    worker thread while the caller uses the previous one (the Generator,
+    pocketfft and the ufuncs release the GIL); only the worker touches
+    ``rng`` once the source exists, and leaving its ``with`` block joins
+    the worker. A small draw costs less than the handoff and is made inline.
+    """
+
+    def __init__(self, rng, shape, count):
+        self._draw = lambda: rng.standard_normal(shape)
+        self._left = count
+        self._worker = None
+        if math.prod(shape) >= _DRAW_AHEAD_MIN_SIZE:
+            from concurrent.futures import ThreadPoolExecutor  # imports logging: only here
+
+            self._worker = ThreadPoolExecutor(max_workers=1)
+            self._ahead = self._worker.submit(self._draw)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._worker is not None:
+            self._worker.shutdown()
+
+    def __next__(self):
+        if self._worker is None:
+            return self._draw()
+        eps = self._ahead.result()
+        self._left -= 1
+        if self._left > 0:
+            self._ahead = self._worker.submit(self._draw)
+        return eps
+
+
 def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     """Sampling loop: guided denoising with seeded re-noising.
 
@@ -298,6 +344,8 @@ def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     The random stream (initial draw, then one draw per iteration) is the
     only source of randomness, so equal seeds give bit-identical runs.
     Re-noising works in place, in the out-of-place form's operand order.
+    On a large image the fresh draws come from a worker thread (see
+    ``_FreshNoise``), which is joined before this returns or raises.
     """
     y = np.asarray(y, dtype=float)
     sched = cfg.schedule
@@ -307,21 +355,22 @@ def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     sqrt_keep = np.sqrt(1.0 - cfg.zeta)
     sqrt_fresh = np.sqrt(cfg.zeta)
     rows = []
-    for t in range(sched.T, 0, -1):
-        abar = sched.alpha_bar[t]
-        abar_prev = sched.alpha_bar[t - 1]
-        sigma_t = float(np.sqrt((1.0 - abar) / abar))
-        x0 = _denoiser_step(denoiser, x / np.sqrt(abar), sigma_t, t)
-        x_guided, row = _guide_step(step, x0, cfg, t)
-        rows.append(row)
-        noise = eps_effective(x, x_guided, abar)
-        noise *= cfg.w[t - 1] * sqrt_keep
-        eps = rng.standard_normal(op.input_shape)
-        eps *= sqrt_fresh
-        noise += eps
-        noise *= np.sqrt(1.0 - abar_prev)
-        np.multiply(np.sqrt(abar_prev), x_guided, out=x)
-        x += noise
+    with _FreshNoise(rng, op.input_shape, sched.T) as draws:
+        for t in range(sched.T, 0, -1):
+            abar = sched.alpha_bar[t]
+            abar_prev = sched.alpha_bar[t - 1]
+            sigma_t = float(np.sqrt((1.0 - abar) / abar))
+            x0 = _denoiser_step(denoiser, x / np.sqrt(abar), sigma_t, t)
+            x_guided, row = _guide_step(step, x0, cfg, t)
+            rows.append(row)
+            noise = eps_effective(x, x_guided, abar)
+            noise *= cfg.w[t - 1] * sqrt_keep
+            eps = next(draws)
+            eps *= sqrt_fresh
+            noise += eps
+            noise *= np.sqrt(1.0 - abar_prev)
+            np.multiply(np.sqrt(abar_prev), x_guided, out=x)
+            x += noise
     return x, RunTrace.from_rows(rows)
 
 

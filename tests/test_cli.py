@@ -40,6 +40,12 @@ def subcommand_flags(name):
 
 
 class TestSurface:
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        cli._parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert main(["eval"]) == 2  # argparse: the required flags are missing
+        assert "--restored" in capsys.readouterr().err
+
     def test_degrade_flags(self):
         assert subcommand_flags("degrade") == {
             "-h", "--help", "--input", "--output", "--task", "--kernel", "--scale", "--mask",
@@ -239,11 +245,30 @@ class TestRestore:
         assert code == 0
         assert file_hash(workspace / "x.pgt") == first
         # a config from when the LS scale was a setting still reproduces: the
-        # unknown key is ignored, and a unit-sum blur derives c = 1 exactly
+        # retired key is accepted, and a unit-sum blur derives c = 1 exactly
         io.write_config(workspace / "old.cfg", {**echoed, "c": "1.0"})
         (workspace / "x.pgt").unlink()
         assert main(["restore", "--config", str(workspace / "old.cfg")]) == 0
         assert file_hash(workspace / "x.pgt") == first
+
+    def test_misspelled_config_key_is_validation_error(self, workspace, capsys):
+        self.degrade_identity(workspace)
+        io.write_config(workspace / "typo.cfg", {
+            "measurement": str(workspace / "y.pgt"), "output": str(workspace / "x.pgt"),
+            "method": "idpg", "T": "4", "gama": "2",
+        })
+        assert main(["restore", "--config", str(workspace / "typo.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert "'gama'" in err and "typo.cfg" in err
+        assert not (workspace / "x.pgt").exists()
+        # degrade's sidecar keys are accepted by degrade only
+        meta = io.read_config(workspace / "y.pgt.meta")
+        io.write_config(workspace / "y.cfg", {**meta, "sigma": "0.1"})
+        assert main(["degrade", "--config", str(workspace / "y.cfg")]) == 2
+        assert "'sigma'" in capsys.readouterr().err
+        io.write_config(workspace / "x.cfg", {**meta, "method": "idpg", "T": "4"})
+        assert main(["restore", "--config", str(workspace / "x.cfg")]) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
     def test_kernel_with_norm_three_restores_finite(self, workspace):
         # taps summing to 3 make ||A|| = 3; the derived LS scale 1/9 keeps

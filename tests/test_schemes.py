@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -369,19 +371,50 @@ def ddpg_out_of_place(denoiser, op, y, cfg):
     return x
 
 
+# 16^2 draws are made inline, 128^2 draws one iteration ahead in a worker thread.
+INLINE, AHEAD = 16, 128
+
+
+def mask_setup(size, seed=23):
+    _, prior, x_star, _ = blur_setup(seed=seed, sigma_e=0.05, shape=(1, size, size))
+    op = Mask(np.random.default_rng(3).random((size, size)) < 0.5, x_star.shape)
+    return op, prior, degrade(op, x_star, NoiseSpec(0.05, seed=4))
+
+
+def test_draw_sizes_straddle_the_threshold():
+    assert INLINE**2 < schemes._DRAW_AHEAD_MIN_SIZE <= AHEAD**2
+
+
 class TestDDPG:
-    @pytest.mark.parametrize("task", ["mask", "blur"])
+    @pytest.mark.parametrize("task", ["mask", "blur", "mask-128"])
     def test_in_place_renoising_is_bitwise(self, task):
-        op, prior, x_star, y = blur_setup(seed=23, sigma_e=0.05)
-        if task == "mask":
-            mask = np.random.default_rng(3).random((16, 16)) < 0.5
-            op = Mask(mask, x_star.shape)
-            y = degrade(op, x_star, NoiseSpec(0.05, seed=4))
+        # also compares the worker thread's draws with the serial stream
+        if task == "blur":
+            op, prior, _, y = blur_setup(seed=23, sigma_e=0.05)
+        else:
+            op, prior, y = mask_setup(AHEAD if task == "mask-128" else INLINE)
         cfg = make_scheme_config("ddpg", make_ddpm_schedule(12), 0.05, zeta=0.3, seed=8,
                                  step_size_policy="ddim-ratio")
         denoiser = WienerMMSE(prior)
         x, _ = ddpg_run(denoiser, op, y, cfg)
         assert np.array_equal(x, ddpg_out_of_place(denoiser, op, y, cfg))
+
+    def test_denoiser_fault_joins_the_draw_worker(self):
+        op, prior, y = mask_setup(AHEAD)
+        cfg = make_scheme_config("ddpg", make_ddpm_schedule(12), 0.05, seed=8)
+        denoiser = WienerMMSE(prior)
+        calls = []
+
+        def failing_at_t10(x, sigma):
+            calls.append(sigma)
+            if len(calls) == 3:  # t = T - 2
+                raise ValueError("boom")
+            return denoiser(x, sigma)
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=r"iteration t=10: boom"):
+            ddpg_run(failing_at_t10, op, y, cfg)
+        assert threading.active_count() == threads
 
     def test_identity_noiseless_returns_measurement(self, rng):
         op = CircularConvolution(delta_kernel(1), SHAPE)
@@ -419,14 +452,15 @@ class TestDDPG:
 
     def test_seed_determinism(self):
         op, prior, _, y = blur_setup(seed=19, sigma_e=0.05)
-        cfg = make_scheme_config("ddpg", make_ddpm_schedule(15), 0.05, seed=42)
-        denoiser = WienerMMSE(prior)
-        first, _ = ddpg_run(denoiser, op, y, cfg)
-        second, _ = ddpg_run(denoiser, op, y, cfg)
-        assert np.array_equal(first, second)
-        other_cfg = make_scheme_config("ddpg", make_ddpm_schedule(15), 0.05, seed=43)
-        third, _ = ddpg_run(denoiser, op, y, other_cfg)
-        assert not np.array_equal(first, third)
+        for op, prior, y in [(op, prior, y), mask_setup(AHEAD, seed=19)]:
+            cfg = make_scheme_config("ddpg", make_ddpm_schedule(15), 0.05, seed=42)
+            denoiser = WienerMMSE(prior)
+            first, _ = ddpg_run(denoiser, op, y, cfg)
+            second, _ = ddpg_run(denoiser, op, y, cfg)
+            assert np.array_equal(first, second)
+            other_cfg = make_scheme_config("ddpg", make_ddpm_schedule(15), 0.05, seed=43)
+            third, _ = ddpg_run(denoiser, op, y, other_cfg)
+            assert not np.array_equal(first, third)
 
     def test_run_scheme_dispatch(self):
         op, prior, _, y = blur_setup(seed=21, sigma_e=0.05)
@@ -445,6 +479,30 @@ class TestDDPG:
         cfg = make_scheme_config("ddpg", sched, 0.05, step_size_policy="ddim-ratio")
         assert cfg.mu[0] == 0.0
         assert np.all(cfg.mu[1:] > 0)
+
+
+@pytest.mark.parametrize("method", ["idpg", "ddpg"])
+@pytest.mark.parametrize("task", ["inpaint", "deblur", "sr2"])
+def test_restore_loop_makes_no_blas_call(monkeypatch, method, task):
+    # OpenBLAS's threaded reductions spin a core that DDPG's draw-ahead needs.
+    shape = (1, AHEAD, AHEAD)
+    if task == "inpaint":
+        op, prior, y = mask_setup(AHEAD)
+    else:
+        _, prior, x_star, _ = blur_setup(seed=29, shape=shape)
+        op = (CircularConvolution(gaussian_kernel(5, 2.0), shape) if task == "deblur"
+              else DownsampleConvolution(bicubic_kernel(2), 2, shape))
+        y = degrade(op, x_star, NoiseSpec(0.05, seed=30))
+    cfg = make_scheme_config(method, make_ddpm_schedule(4), 0.05, seed=3)
+    denoiser = WienerMMSE(prior)
+
+    def no_blas(*args, **kwargs):
+        raise AssertionError("BLAS call in the restore loop")
+
+    for owner, name in [(np, "vdot"), (np, "dot"), (np, "inner"), (np.linalg, "norm")]:
+        monkeypatch.setattr(owner, name, no_blas)
+    x, _ = run_scheme(denoiser, op, y, cfg)
+    assert np.isfinite(x).all()
 
 
 def test_trace_export_format(tmp_path):
