@@ -76,11 +76,15 @@ RETIRED_KEYS = ("c",)
 
 
 def _coerce(options: dict, key: str, value):
-    if value is None or not isinstance(value, str):
+    """A flag or config string as the option's type; "None" only where that is the default."""
+    if not isinstance(value, str):
         return value
+    kind, default, _ = options[key]
     if value == "None":
+        if default is not None:
+            raise ValueError(f"{key} must not be None (default {default})")
         return None
-    return options[key][0](value)
+    return kind(value)
 
 
 def _resolve(options: dict, config_path, flag_values: dict, echoed_keys=()) -> dict:
@@ -172,8 +176,8 @@ def cmd_restore(args) -> int:
     for key in ("task", "kernel", "scale", "mask"):
         if cfg.get(key) is None and key in sidecar:
             cfg[key] = _coerce(RESTORE_OPTIONS, key, sidecar[key])
-    if cfg["sigma_e"] is None:
-        cfg["sigma_e"] = _coerce(RESTORE_OPTIONS, "sigma_e", sidecar.get("sigma_e", "0.0"))
+    if cfg["sigma_e"] is None:  # the sidecar is degrade's: its sigma_e is never None
+        cfg["sigma_e"] = _coerce(DEGRADE_OPTIONS, "sigma_e", sidecar.get("sigma_e", "0.0"))
     image_shape = tuple(int(sidecar[k]) for k in SIDECAR_SHAPE_KEYS)
 
     op = _build_operator(cfg, image_shape)
@@ -244,11 +248,7 @@ def _parse_claims(text: str) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    selection = _parse_claims(args.claims) if args.claims else None
-    overrides = {}
-    if args.mc_draws is not None:
-        overrides["theorem1"] = {"mc_draws": args.mc_draws}
-    results = run_verifier_battery(selection, **overrides)
+    results = run_verifier_battery(_parse_claims(args.claims) if args.claims else None)
     for result in results:
         print(result.line())
     return 0 if all(r.passed for r in results) else 1
@@ -282,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the numerical verification battery")
     p_ver.add_argument("--claims", help="comma-separated subset, e.g. 1,4 or claim1,theorem1")
-    p_ver.add_argument("--mc-draws", dest="mc_draws", type=int, help="Monte-Carlo draw count")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

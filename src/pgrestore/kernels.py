@@ -6,6 +6,9 @@ import numpy as np
 
 __all__ = ["delta_kernel", "gaussian_kernel", "bicubic_kernel"]
 
+# Keys' cubic-convolution parameter; -0.5 makes the interpolant third-order accurate.
+_KEYS_A = -0.5
+
 
 def delta_kernel(size: int = 1) -> np.ndarray:
     """Centered unit impulse; circular convolution with it is the identity."""
@@ -16,11 +19,11 @@ def delta_kernel(size: int = 1) -> np.ndarray:
     return k
 
 
-def gaussian_kernel(size: int, std: float, normalize: bool = True) -> np.ndarray:
+def gaussian_kernel(size: int, std: float) -> np.ndarray:
     """Isotropic Gaussian taps on a size x size grid, clipped to the grid.
 
-    Clipping truncates the tails, so by default the taps are renormalized
-    to sum to 1 (keeps the blur mean-preserving).
+    Clipping truncates the tails, so the taps are renormalized to sum to 1
+    (keeps the blur mean-preserving).
     """
     if size < 1 or size % 2 == 0:
         raise ValueError("size must be a positive odd integer")
@@ -28,12 +31,11 @@ def gaussian_kernel(size: int, std: float, normalize: bool = True) -> np.ndarray
         raise ValueError("std must be positive")
     ax = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / (2.0 * std**2))
-    if normalize:
-        g /= g.sum()
-    return g
+    return g / g.sum()
 
 
-def _keys_cubic(x: np.ndarray, a: float) -> np.ndarray:
+def _keys_cubic(x: np.ndarray) -> np.ndarray:
+    a = _KEYS_A
     x = np.abs(x)
     out = np.zeros_like(x)
     near = x <= 1
@@ -43,8 +45,8 @@ def _keys_cubic(x: np.ndarray, a: float) -> np.ndarray:
     return out
 
 
-def bicubic_kernel(scale: int, a: float = -0.5) -> np.ndarray:
-    """Separable bicubic anti-aliasing taps for integer downsampling.
+def bicubic_kernel(scale: int) -> np.ndarray:
+    """Separable bicubic (Keys, a = -0.5) anti-aliasing taps for integer downsampling.
 
     Support is 4*scale taps per axis (the cubic's (-2, 2) footprint
     stretched by the scale factor), sampled symmetrically about the
@@ -55,6 +57,6 @@ def bicubic_kernel(scale: int, a: float = -0.5) -> np.ndarray:
         raise ValueError("scale must be a positive integer")
     size = 4 * scale
     offsets = (np.arange(size) - (size - 1) / 2.0) / scale
-    taps = _keys_cubic(offsets, a)
+    taps = _keys_cubic(offsets)
     k = np.outer(taps, taps)
     return k / k.sum()

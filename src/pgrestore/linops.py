@@ -63,7 +63,7 @@ class SingularOperatorError(ValueError):
     """The Gram operator A A^T cannot be inverted with eta = 0."""
 
 
-def as_image(x, shape=None) -> np.ndarray:
+def as_image(x) -> np.ndarray:
     """Coerce to a float (channels, height, width) array and validate it.
 
     Checks the invariants every image-shaped array must satisfy: three
@@ -74,8 +74,6 @@ def as_image(x, shape=None) -> np.ndarray:
         raise ShapeMismatchError(
             f"expected a (channels, height, width) array, got shape {arr.shape}"
         )
-    if shape is not None and tuple(arr.shape) != tuple(shape):
-        raise ShapeMismatchError(f"expected shape {tuple(shape)}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("image contains non-finite entries")
     return arr
@@ -234,6 +232,8 @@ class DownsampleConvolution(LinearOperator):
             raise ValueError("kernel must be 2-D")
         if not np.isfinite(kernel).all():
             raise ValueError("kernel contains non-finite entries")
+        if not kernel.any():
+            raise ValueError(f"kernel {kernel.shape} has no nonzero tap, so A = 0")
         scale = int(scale)
         if scale < 1:
             raise ValueError(f"scale must be a positive integer, got {scale}")

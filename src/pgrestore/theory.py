@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .guidance import g_delta, wls_objective
+from .guidance import g_delta, guide
 from .linops import DenseOperator
 
 __all__ = [
@@ -49,6 +49,8 @@ __all__ = [
 
 _MODES = ("ls", "bp", "wls")
 _EIGENBASIS_TOL = 1e-8
+# The delta values at which claim 3 takes its guided step, BP to LS.
+_CLAIM3_DELTAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,10 @@ class TikhonovProblem:
 
     The estimator minimizes 0.5 ||W^(1/2)(A x - y)||^2 +
     (beta_prior / 2) ||D x||^2, with W chosen per data-fidelity mode.
-    ``delta`` and ``c`` parameterize the WLS weight; ``eta`` regularizes
-    the Gram inverse inside the BP/WLS weights (0 for the theorem
-    setting). ``beta_prior`` is the prior weight, unrelated to the
-    diffusion schedule's beta.
+    ``delta`` parameterizes the WLS weight, whose LS scale is c = 1, the
+    theorem setting; ``eta`` regularizes the Gram inverse inside the
+    BP/WLS weights (0 for the theorem setting). ``beta_prior`` is the
+    prior weight, unrelated to the diffusion schedule's beta.
     """
 
     a_matrix: np.ndarray
@@ -70,7 +72,6 @@ class TikhonovProblem:
     x_star: np.ndarray
     delta: float
     eta: float = 0.0
-    c: float = 1.0
 
     def __post_init__(self):
         a = np.asarray(self.a_matrix, dtype=float)
@@ -88,8 +89,8 @@ class TikhonovProblem:
             raise ValueError(f"x_star must have shape ({n},), got {x.shape}")
         if self.beta_prior <= 0:
             raise ValueError("beta_prior must be positive")
-        if self.sigma_e < 0 or self.eta < 0 or self.c <= 0:
-            raise ValueError("sigma_e, eta must be nonnegative and c positive")
+        if self.sigma_e < 0 or self.eta < 0:
+            raise ValueError("sigma_e and eta must be nonnegative")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
         dtd = d.T @ d
@@ -144,17 +145,15 @@ def random_conforming_problem(
     )
 
 
-def _normalize_mode(mode: str) -> str:
-    key = mode.lower()
-    if key not in _MODES:
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    return key
 
 
 def data_weight_matrix(p: TikhonovProblem, mode: str) -> np.ndarray:
     """The data-term weight W: I (ls), regularized Gram inverse (bp),
-    or their delta/c convex combination (wls)."""
-    mode = _normalize_mode(mode)
+    or their delta convex combination (wls), with LS scale c = 1."""
+    _check_mode(mode)
     m = p.shape[0]
     if mode == "ls":
         return np.eye(m)
@@ -162,17 +161,21 @@ def data_weight_matrix(p: TikhonovProblem, mode: str) -> np.ndarray:
     gram_inv = np.linalg.inv(gram)
     if mode == "bp":
         return gram_inv
-    return (1.0 - p.delta) * gram_inv + p.delta * p.c * np.eye(m)
+    return (1.0 - p.delta) * gram_inv + p.delta * np.eye(m)
 
 
 def tikhonov_estimate(p: TikhonovProblem, mode: str, y: np.ndarray) -> np.ndarray:
-    """Exact minimizer (A^T W A + beta D^T D)^-1 A^T W y."""
-    w = data_weight_matrix(p, mode)
-    hessian = p.a_matrix.T @ w @ p.a_matrix + p.beta_prior * p.d_matrix.T @ p.d_matrix
+    """Exact minimizer (A^T W A + beta D^T D)^-1 A^T W y.
+
+    ``y`` may hold one measurement per column: the estimator matrix is
+    formed once, so a batch of draws costs one matmul.
+    """
     y = np.asarray(y, dtype=float)
     if y.shape[0] != p.shape[0]:
         raise ValueError(f"y must have {p.shape[0]} rows, got shape {y.shape}")
-    return np.linalg.solve(hessian, p.a_matrix.T @ w @ y)
+    w = data_weight_matrix(p, mode)
+    hessian = p.a_matrix.T @ w @ p.a_matrix + p.beta_prior * p.d_matrix.T @ p.d_matrix
+    return np.linalg.solve(hessian, p.a_matrix.T @ w) @ y
 
 
 def _spectral_data(p: TikhonovProblem):
@@ -204,13 +207,13 @@ def _spectral_data(p: TikhonovProblem):
     return lam, gamma2, v
 
 
-def _mode_weights(mode: str, lam: np.ndarray, delta: float, eta: float, c: float) -> np.ndarray:
+def _mode_weights(mode: str, lam: np.ndarray, delta: float, eta: float) -> np.ndarray:
     """Eigenvalues s_i of W on A's left singular basis."""
     if mode == "ls":
         return np.ones_like(lam)
     if mode == "bp":
         return 1.0 / (lam**2 + eta)
-    return (1.0 - delta) / (lam**2 + eta) + delta * c
+    return (1.0 - delta) / (lam**2 + eta) + delta
 
 
 def bias_variance_closed_form(p: TikhonovProblem, mode: str) -> tuple[float, float]:
@@ -226,10 +229,10 @@ def bias_variance_closed_form(p: TikhonovProblem, mode: str) -> tuple[float, flo
     The null-space bias term counts the energy of x* that no data term
     can see. The weights use the problem's eta, which is 0 in the theorem.
     """
-    mode = _normalize_mode(mode)
+    _check_mode(mode)
     lam, gamma2, v = _spectral_data(p)
     m = p.shape[0]
-    s = _mode_weights(mode, lam, p.delta, p.eta, p.c)
+    s = _mode_weights(mode, lam, p.delta, p.eta)
     coeffs = p.beta_prior * gamma2 / (lam**2 * s + p.beta_prior * gamma2)
     z_range = v[:, :m].T @ p.x_star
     null_energy = float(p.x_star @ p.x_star - z_range @ z_range)
@@ -251,7 +254,6 @@ class MCBiasVariance:
     se_bias_sq: float
     se_var: float
     se_mse: float
-    n_draws: int
 
 
 def mc_bias_variance(
@@ -259,24 +261,19 @@ def mc_bias_variance(
 ) -> MCBiasVariance:
     """Estimate bias^2 and variance by running the estimator on noisy draws.
 
-    Independent of the closed-form path: estimates come from batched
-    calls through the estimator formula on y = A x* + e. The bias^2
+    Independent of the closed-form path: estimates come from one batched
+    ``tikhonov_estimate`` call on the draws y = A x* + e. The bias^2
     estimate subtracts the v/N inflation of the sample-mean distance,
     and standard errors come from per-draw statistics (delta method for
     the bias term), floored at a small relative value so exact matches
     with sigma_e = 0 remain comparable.
     """
-    mode = _normalize_mode(mode)
     if n_draws < 2:
         raise ValueError(f"need at least 2 Monte-Carlo draws, got {n_draws}")
     rng = np.random.default_rng(seed)
-    w = data_weight_matrix(p, mode)
-    hessian = p.a_matrix.T @ w @ p.a_matrix + p.beta_prior * p.d_matrix.T @ p.d_matrix
-    backproject = np.linalg.solve(hessian, p.a_matrix.T @ w)  # n x m estimator matrix
-    m = p.shape[0]
     y_clean = p.a_matrix @ p.x_star
-    noise = p.sigma_e * rng.standard_normal((n_draws, m))
-    estimates = (y_clean + noise) @ backproject.T  # n_draws x n
+    noise = p.sigma_e * rng.standard_normal((n_draws, p.shape[0]))
+    estimates = tikhonov_estimate(p, mode, (y_clean + noise).T).T  # n_draws x n
     center = estimates.mean(axis=0)
     deviations = estimates - center
     dev_sq = np.einsum("ij,ij->i", deviations, deviations)
@@ -298,7 +295,6 @@ def mc_bias_variance(
         se_bias_sq=max(se_bias, floor * (1.0 + abs(bias_sq_hat))),
         se_var=max(se_var, floor * (1.0 + abs(var_hat))),
         se_mse=max(se_mse, floor * (1.0 + abs(mse_hat))),
-        n_draws=n_draws,
     )
 
 
@@ -327,8 +323,8 @@ def verify_theorem1(p: TikhonovProblem) -> TheoremReport:
     Raises ValueError naming the violated assumption when the instance
     does not satisfy them: (a) shared eigenbasis with D^T D positive
     definite (checked at construction), (b) singular values in (0, 1]
-    and not all equal, (c) eta = 0 and c = 1; delta must lie strictly
-    inside (0, 1) for strict orderings.
+    and not all equal, (c) eta = 0 (c = 1 always holds here); delta must
+    lie strictly inside (0, 1) for strict orderings.
     """
     lam = np.linalg.svd(p.a_matrix, compute_uv=False)
     if np.any(lam <= 0) or np.any(lam > 1.0 + 1e-12):
@@ -337,8 +333,6 @@ def verify_theorem1(p: TikhonovProblem) -> TheoremReport:
         raise ValueError("assumption (b) violated: singular values must not all be equal")
     if p.eta != 0.0:
         raise ValueError("assumption (c) violated: eta must be 0")
-    if p.c != 1.0:
-        raise ValueError("assumption (c) violated: c must be 1")
     if not 0.0 < p.delta < 1.0:
         raise ValueError("delta must lie strictly inside (0, 1)")
     b2_bp, v_bp = bias_variance_closed_form(p, "bp")
@@ -388,9 +382,8 @@ def condition_numbers(lam, delta: float, c: float) -> tuple[float, float, float]
 
 @dataclass(frozen=True)
 class Claim2Result:
-    """Constructive preconditioner factorization residuals."""
+    """Constructive preconditioner factorization residual."""
 
-    residual: float
     relative_residual: float
     p_matrix: np.ndarray
 
@@ -423,7 +416,6 @@ def verify_claim2(a_matrix, w_matrix) -> Claim2Result:
     target_norm = float(np.linalg.norm(target))
     p_matrix = v @ np.diag(extended) @ v.T
     return Claim2Result(
-        residual=residual,
         relative_residual=residual / max(target_norm, 1e-30),
         p_matrix=p_matrix,
     )
@@ -507,9 +499,7 @@ def claim2_check(n_pairs: int = 50, seed: int = 1200) -> CheckResult:
     )
 
 
-def claim3_check(
-    n_instances: int = 50, deltas=(0.0, 0.25, 0.5, 0.75, 1.0), seed: int = 1300
-) -> CheckResult:
+def claim3_check(n_instances: int = 50, seed: int = 1300) -> CheckResult:
     """One guided step with mu = 1, c = 1/l_1^2 strictly reduces the WLS term."""
     checked = 0
     for i in range(n_instances):
@@ -522,10 +512,8 @@ def claim3_check(
         eta = float(rng.uniform(0.0, 0.5))
         x = rng.standard_normal(n)
         y = rng.standard_normal(m)
-        for delta in deltas:
-            before = wls_objective(op, x, y, delta, eta, c)
-            step = g_delta(op, x, y, delta, eta, c)
-            after = wls_objective(op, x - step, y, delta, eta, c)
+        for delta in _CLAIM3_DELTAS:
+            _, before, _, after, _ = guide(op, x, y, delta, eta, c, 1.0)
             checked += 1
             if not after < before:
                 return CheckResult(
@@ -536,7 +524,7 @@ def claim3_check(
     return CheckResult(
         "claim3", True,
         f"strict descent in {checked}/{checked} steps "
-        f"({n_instances} instances x {len(deltas)} delta values)",
+        f"({n_instances} instances x {len(_CLAIM3_DELTAS)} delta values)",
     )
 
 
@@ -634,17 +622,10 @@ BATTERY_CHECKS = {
 }
 
 
-def run_verifier_battery(selection=None, **overrides) -> list[CheckResult]:
-    """Run the named checks (all of them by default) with fixed seeds.
-
-    ``overrides`` maps a check name to keyword arguments for that check;
-    one for a check that is not selected is rejected, not dropped.
-    """
+def run_verifier_battery(selection=None) -> list[CheckResult]:
+    """Run the named checks (all of them by default) with fixed seeds."""
     names = list(BATTERY_CHECKS) if selection is None else list(selection)
     for name in names:
         if name not in BATTERY_CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {sorted(BATTERY_CHECKS)}")
-    for name in overrides:
-        if name not in names:
-            raise ValueError(f"settings given for check {name!r}, which is not selected")
-    return [BATTERY_CHECKS[name](**overrides.get(name, {})) for name in names]
+    return [BATTERY_CHECKS[name]() for name in names]

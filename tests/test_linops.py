@@ -253,6 +253,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CircularConvolution(np.ones((2, 2)), SHAPE)
 
+    @pytest.mark.parametrize("make_op", [
+        lambda: CircularConvolution(np.zeros((5, 5)), SHAPE),
+        lambda: DownsampleConvolution(np.zeros((5, 5)), 2, SHAPE),
+        lambda: DownsampleConvolution(np.zeros((0, 0)), 2, SHAPE),
+    ], ids=["conv", "sr2", "sr2-empty"])
+    def test_kernel_without_nonzero_tap_rejected(self, make_op):
+        with pytest.raises(ValueError, match="no nonzero tap"):
+            make_op()
+
     def test_sr_requires_divisible_sides(self):
         with pytest.raises(ValueError):
             DownsampleConvolution(bicubic_kernel(3), 3, SHAPE)
