@@ -75,8 +75,12 @@ SIDECAR_SHAPE_KEYS = ("channels", "height", "width")
 RETIRED_KEYS = ("c",)
 
 
-def _coerce(options: dict, key: str, value):
-    """A flag or config string as the option's type; "None" only where that is the default."""
+def _coerce(options: dict, key: str, value, source):
+    """A flag or config string as the option's type; "None" only where that is the default.
+
+    ``source`` names where the string came from (a file, or the command
+    line), for the message of a value that does not convert.
+    """
     if not isinstance(value, str):
         return value
     kind, default, _ = options[key]
@@ -84,7 +88,15 @@ def _coerce(options: dict, key: str, value):
         if default is not None:
             raise ValueError(f"{key} must not be None (default {default})")
         return None
-    return kind(value)
+    return _convert(kind, key, value, source)
+
+
+def _convert(kind, key: str, value: str, source):
+    """``kind(value)``; a failure names the key, the value and ``source``."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{source}: {key}={value!r} is not a valid {kind.__name__}") from None
 
 
 def _resolve(options: dict, config_path, flag_values: dict, echoed_keys=()) -> dict:
@@ -97,12 +109,12 @@ def _resolve(options: dict, config_path, flag_values: dict, echoed_keys=()) -> d
     if config_path:
         for key, value in io.read_config(config_path).items():
             if key in options:
-                resolved[key] = _coerce(options, key, value)
+                resolved[key] = _coerce(options, key, value, config_path)
             elif key not in echoed_keys and key not in RETIRED_KEYS:
                 raise ValueError(f"{config_path}: unknown config key {key!r}")
     for key, value in flag_values.items():
         if key in options and value is not None:
-            resolved[key] = _coerce(options, key, value)
+            resolved[key] = _coerce(options, key, value, "command line")
     return resolved
 
 
@@ -175,10 +187,16 @@ def cmd_restore(args) -> int:
     sidecar = io.read_config(_require_file(sidecar_path, "measurement sidecar"))
     for key in ("task", "kernel", "scale", "mask"):
         if cfg.get(key) is None and key in sidecar:
-            cfg[key] = _coerce(RESTORE_OPTIONS, key, sidecar[key])
+            cfg[key] = _coerce(RESTORE_OPTIONS, key, sidecar[key], sidecar_path)
     if cfg["sigma_e"] is None:  # the sidecar is degrade's: its sigma_e is never None
-        cfg["sigma_e"] = _coerce(DEGRADE_OPTIONS, "sigma_e", sidecar.get("sigma_e", "0.0"))
-    image_shape = tuple(int(sidecar[k]) for k in SIDECAR_SHAPE_KEYS)
+        cfg["sigma_e"] = _coerce(DEGRADE_OPTIONS, "sigma_e", sidecar.get("sigma_e", "0.0"),
+                                 sidecar_path)
+    missing = [key for key in SIDECAR_SHAPE_KEYS if key not in sidecar]
+    if missing:
+        raise ValueError(f"{sidecar_path}: sidecar lacks the image shape key(s) "
+                         f"{', '.join(missing)}, which degrade writes")
+    image_shape = tuple(_convert(int, key, sidecar[key], sidecar_path)
+                        for key in SIDECAR_SHAPE_KEYS)
 
     op = _build_operator(cfg, image_shape)
     y = io.read_tensor(meas_file)

@@ -5,7 +5,9 @@ the verification suite needs: ``WienerMMSE`` is the exact posterior mean
 under a stationary Gaussian prior (filtered on the rfft2 half spectrum),
 so every claim about the pipeline can be checked in closed form. A
 denoiser is any callable ``(x, sigma) -> x_estimate``; the classes here
-are plain callables with no mutable state, so they are thread-safe. The
+are thread-safe callables. Only ``WienerMMSE`` keeps mutable state: a
+half-spectrum work array for each calling thread, so that concurrent
+callers share nothing they write. The
 external adapter isolates each call in its own temporary workspace.
 """
 
@@ -15,6 +17,7 @@ import shlex
 import shutil
 import subprocess
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,11 +128,17 @@ class WienerMMSE:
     """Exact posterior-mean denoiser under a :class:`WienerPrior`.
 
     Per frequency f of the half spectrum: mean(f) + p(f) / (p(f) + sigma^2)
-    * (x(f) - mean(f)). sigma = 0 returns the input untouched.
+    * (x(f) - mean(f)). sigma = 0 returns the input untouched. x - mean is
+    filtered in place, in the array that is returned, through a spectrum
+    work array that each calling thread keeps for its channel count, so
+    that a call allocates only its output and the shrink weights (half an
+    image, made afresh: kept as well, they raised a 256^2 benchmark's peak
+    resident memory by 1.5 MB).
     """
 
     def __init__(self, prior: WienerPrior):
         self.prior = prior
+        self._work = threading.local()
 
     def __call__(self, x: np.ndarray, sigma: float) -> np.ndarray:
         _check_sigma(sigma)
@@ -140,9 +149,21 @@ class WienerMMSE:
             raise ValueError(
                 f"prior grid {prior.spectrum.shape} does not match image {x.shape[1:]}"
             )
+        half = prior.half_spectrum
+        shrink = half + sigma**2
+        np.divide(half, shrink, out=shrink)
         mean = prior.mean_image(x.shape[0])
-        shrink = prior.half_spectrum / (prior.half_spectrum + sigma**2)
-        return mean + fourier_filter(x - mean, shrink)
+        out = np.subtract(x, mean)
+        fourier_filter(out, shrink, out=out, spectrum=self._spectrum((x.shape[0],) + half.shape))
+        out += mean
+        return out
+
+    def _spectrum(self, shape):
+        """This thread's half-spectrum work array of ``shape``, made on first use."""
+        spectrum = getattr(self._work, "spectrum", None)
+        if spectrum is None or spectrum.shape != shape:
+            spectrum = self._work.spectrum = np.empty(shape, dtype=complex)
+        return spectrum
 
 
 class ExternalDenoiser:

@@ -15,17 +15,23 @@ Masks are tight frames (A A^T = I, so the Gram solve is a scaling), and
 dense matrices use direct solves and exist for oracle-scale testing.
 
 ``fourier_filter(x, response)`` holds the package's FFT convention (images
-are real: ``rfft2``/``irfft2`` over the last two axes, responses on the
-half spectrum of ``w//2 + 1`` columns); the primitives and denoisers use it.
+are real: ``rfft2`` and its inverse over the last two axes, responses on
+the half spectrum of ``w//2 + 1`` columns); the primitives and denoisers
+use it. The inverse is ``irfft2_into``, a row ``ifft`` in place and then an
+``irfft`` into a given array, not ``irfft2``: that makes a complex
+temporary in its row pass and ignores ``out=``.
 Each operator builds a run's guided step, ``guided_step(y, eta, c)``, the
 step of :func:`pgrestore.guidance.guide` for one measurement (the base class
 calls ``guide``). ``DownsampleConvolution`` forms it on the coarse half
-spectrum with one rfft2 and one irfft2; ``Mask`` on the image grid, with a
-scalar weighting and no transform.
+spectrum with one rfft2 and one inverse, in work arrays that the step owns
+for the run (the fine spectrum, the fold arrays, the weights, |R|^2 and
+the residual factor), so that a call allocates only the image it returns; ``Mask`` on the image grid, with a scalar weighting and no
+transform.
 
 Boundary handling is circular everywhere. Operators act channel-wise on
 (channels, height, width) arrays, are immutable after construction, and
-never mutate their inputs, so instances can be shared across threads.
+never mutate their inputs, so instances can be shared across threads; a
+guided step, which writes into its own arrays, serves one run in one thread.
 """
 
 from __future__ import annotations
@@ -103,40 +109,76 @@ def _kernel_response(kernel: np.ndarray, grid_shape) -> np.ndarray:
     return np.fft.rfft2(padded)
 
 
-def fourier_filter(x: np.ndarray, response: np.ndarray) -> np.ndarray:
+def fourier_filter(x: np.ndarray, response: np.ndarray, out=None, spectrum=None) -> np.ndarray:
     """irfft2(rfft2(x) * response) over the last two axes.
 
     The one place the package applies a Fourier-domain filter: ``response``
     is given on the rfft2 half spectrum of ``x`` (``w//2 + 1`` columns).
-    Returns a fresh C-contiguous real array.
+    Returns ``out``, or a fresh C-contiguous real array. A caller that
+    filters often passes its own work arrays: ``out`` (real, x's shape; it
+    may be ``x`` itself) and ``spectrum`` (complex, the half spectrum's
+    shape), and then the call allocates nothing the size of an image. The
+    inverse is ``irfft2_into``, not ``irfft2``, which would allocate both
+    a complex temporary and the output.
     """
-    spectrum = np.fft.rfft2(x, axes=(-2, -1))
-    spectrum *= response
-    return np.fft.irfft2(spectrum, s=x.shape[-2:], axes=(-2, -1))
+    spectrum = np.fft.rfft2(x, axes=(-2, -1), out=spectrum)
+    _multiply_spectrum(spectrum, response)
+    return irfft2_into(spectrum, np.empty(x.shape) if out is None else out)
 
 
-def _full_width(half: np.ndarray, width: int) -> np.ndarray:
-    """A real image's spectrum on all ``width`` columns, from its rfft2 half.
+def irfft2_into(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``irfft2(spectrum, s=out.shape[-2:], axes=(-2, -1))``, written into ``out``.
+
+    The same two passes as ``irfft2``, an ``ifft`` along the rows, then an
+    ``irfft`` along the columns, but the row pass runs in place, so
+    ``spectrum`` is overwritten. ``irfft2`` itself cannot write into
+    ``out``: its row pass always makes a complex temporary, and numpy 2.4's
+    ``irfft2`` hands ``out=None`` on to ``irfftn``.
+    """
+    np.fft.ifft(spectrum, axis=-2, out=spectrum)
+    return np.fft.irfft(spectrum, n=out.shape[-1], axis=-1, out=out)
+
+
+def _multiply_spectrum(spectrum: np.ndarray, factor) -> None:
+    """``spectrum *= factor`` in place.
+
+    A real ``factor`` multiplies the real and the imaginary part in turn,
+    which gives the complex product's values (a zero's sign aside): numpy
+    would otherwise cast it to complex through a buffer of up to 128 KiB.
+    """
+    if np.iscomplexobj(factor):
+        spectrum *= factor
+    else:
+        for part in (spectrum.real, spectrum.imag):
+            np.multiply(part, factor, out=part)
+
+
+def _full_width(half: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Fill ``full`` with a real image's spectrum on all its columns, from its rfft2 half.
 
     Hermitian symmetry, X[u, v] = conj X[-u mod h, width - v], gives the
     missing columns: the half's columns (width - 1) // 2 .. 1 with rows
-    0, h - 1, .., 1, conjugated.
+    0, h - 1, .., 1, conjugated. ``half`` is conjugated in place on the
+    way: copies and a ufunc on a contiguous array make numpy allocate no
+    buffer, where a ufunc between strided views would.
     """
-    k = half.shape[-1]
-    full = np.empty(half.shape[:-1] + (width,), dtype=half.dtype)
+    k, width = half.shape[-1], full.shape[-1]
     full[..., :k] = half
+    np.conjugate(half, out=half)
     tail = half[..., (width + 1) // 2 - 1:0:-1]
-    np.conjugate(tail[..., :1, :], out=full[..., :1, k:])
-    np.conjugate(tail[..., :0:-1, :], out=full[..., 1:, k:])
+    full[..., :1, k:] = tail[..., :1, :]
+    full[..., 1:, k:] = tail[..., :0:-1, :]
     return full
 
 
 def _half_sum(a: np.ndarray, width: int) -> float:
     """Full-grid sum of a Hermitian-symmetric array given on its rfft2 half.
 
-    Columns 1 .. (width - 1) // 2 stand for two frequencies each, the rest for one.
+    Columns 1 .. (width - 1) // 2 stand for two frequencies each, the rest
+    for one. Their extra share is summed row by row: one sum over the
+    strided columns would make numpy copy them into a buffer of up to 64 KiB.
     """
-    return float(a.sum() + a[..., 1:(width + 1) // 2].sum())
+    return float(a.sum() + a[..., 1:(width + 1) // 2].sum(axis=-1).sum())
 
 
 def _check_invertible(gram_spectrum: np.ndarray, eta: float) -> None:
@@ -249,7 +291,7 @@ class DownsampleConvolution(LinearOperator):
         self.scale = scale
         self.kernel = _freeze(kernel)
         self._response = _freeze(_kernel_response(kernel, (h, w)))
-        power = _full_width(np.abs(self._response) ** 2, w)
+        power = _full_width(np.abs(self._response) ** 2, np.empty((h, w)))
         gram = power.reshape(scale, h // scale, scale, w // scale).sum(axis=(0, 2)) / scale**2
         self._gram_response = _freeze(np.ascontiguousarray(gram[:, : w // scale // 2 + 1]))
 
@@ -285,56 +327,90 @@ class DownsampleConvolution(LinearOperator):
         per-frequency weight (1 - delta)/(G + eta) + delta c, the residual
         after the step is R - mu G W R, and both objectives and residuals
         follow by Parseval. Everything lives on the rfft2 half grid, so a
-        call takes one rfft2 and one irfft2; for s > 1 the fold and its
-        adjoint pass through the full coarse width by Hermitian symmetry.
-        Nothing is checked here, as in ``LinearOperator.guided_step``.
+        call takes one rfft2 and one inverse (``irfft2_into``); for s > 1
+        the fold and its adjoint pass through the full coarse width by
+        Hermitian symmetry.
+
+        The step owns its work arrays, made here once per run, so that a
+        call allocates only the x it returns: the fine half spectrum; for
+        s > 1 the row fold, its full-width extension (whose first coarse
+        width also holds the unfold) and the coarse residual; the mixed
+        weights, |R|^2 and the residual factor. A step therefore serves one
+        run in one thread. Nothing is checked here, as in
+        ``LinearOperator.guided_step``.
         """
         s = self.scale
         channels, h, w = self.input_shape
         hc, wc = h // s, w // s
         size = hc * wc
+        half, coarse_half = w // 2 + 1, wc // 2 + 1
         response, gram = self._response, self._gram_response
         y_hat = np.fft.rfft2(y, axes=(-2, -1))
-        inverse = None
+        spectrum = np.empty((channels, h, half), dtype=complex)
+        if s > 1:
+            rows = np.empty((channels, hc, half), dtype=complex)
+            fold = np.empty((channels, hc, w), dtype=complex)
+            residual = np.empty((channels, hc, coarse_half), dtype=complex)
+        else:
+            residual = spectrum
+        power, factor = np.empty(residual.shape), np.empty(residual.shape)
+        inverse = mixed = None
 
         def weight(delta):
             # Exactly c at delta = 1, so a vanishing G + eta never meets 0 * inf.
-            nonlocal inverse
+            nonlocal inverse, mixed
             if delta == 1.0:
                 return c
             if inverse is None:
                 _check_invertible(gram, eta)
-                inverse = 1.0 / (gram + eta)
+                inverse, mixed = 1.0 / (gram + eta), np.empty(gram.shape)
             if delta == 0.0:
                 return inverse
-            return (1.0 - delta) * inverse + delta * c
+            np.multiply(inverse, 1.0 - delta, out=mixed)
+            mixed += delta * c
+            return mixed
 
-        def data_term(r, weights):
-            power = r.real**2
-            power += r.imag**2
-            residual = float(np.sqrt(_half_sum(power, wc) / size))
-            power *= weights
-            return [0.5 * _half_sum(power, wc) / size, residual]
+        def data_term(weights):
+            # Consumes power, which holds |R|^2 on the half grid.
+            residual_norm = float(np.sqrt(_half_sum(power, wc) / size))
+            np.multiply(power, weights, out=power)
+            return [0.5 * _half_sum(power, wc) / size, residual_norm]
 
         def step(x0, delta, mu):
-            r = np.fft.rfft2(x0, axes=(-2, -1))
-            r *= response
-            if s > 1:  # fold: rows by a reshape-sum, columns once extended to full width
-                r = r.reshape(channels, s, hc, -1).sum(axis=1)
-                r = _full_width(r, w).reshape(channels, hc, s, wc).sum(axis=2)[..., : wc // 2 + 1]
-                r /= s * s
-            r -= y_hat
+            np.fft.rfft2(x0, axes=(-2, -1), out=spectrum)
+            np.multiply(spectrum, response, out=spectrum)
+            if s > 1:  # fold: rows by a sum over s, columns once extended to full width
+                spectrum.reshape(channels, s, hc, half).sum(axis=1, out=rows)
+                _full_width(rows, fold)
+                fold.reshape(channels, hc, s, wc)[..., :coarse_half].sum(axis=2, out=residual)
+                np.divide(residual, s * s, out=residual)
+            np.subtract(residual, y_hat, out=residual)
             weights = weight(delta)
-            w_r = weights * r
-            numbers = data_term(r, weights)
-            r *= 1.0 - mu * gram * weights  # R - mu G W R: the residual after the step
-            numbers += data_term(r, weights)
-            # Each buffer is freed once used: the transforms set the peak memory.
-            del r
-            if s > 1:  # the adjoint of the fold: tile s x s, keep the fine half grid
-                w_r = np.tile(_full_width(w_r, wc), (s, s // 2 + 1))[..., : w // 2 + 1]
-            w_r *= np.conj(response)
-            x = np.fft.irfft2(w_r, s=(h, w), axes=(-2, -1))
+            np.square(residual.real, out=power)
+            np.square(residual.imag, out=factor)
+            np.add(power, factor, out=power)
+            numbers = data_term(weights)
+            # |R - mu G W R|^2, the residual after the step, one part at a time
+            np.multiply(gram, mu, out=factor)
+            np.multiply(factor, weights, out=factor)
+            np.subtract(1.0, factor, out=factor)
+            np.multiply(residual.real, factor, out=power)
+            np.square(power, out=power)
+            np.multiply(residual.imag, factor, out=factor)
+            np.square(factor, out=factor)
+            np.add(power, factor, out=power)
+            numbers += data_term(weights)
+            _multiply_spectrum(residual, weights)  # W R
+            if s > 1:  # the adjoint of the fold: tile the full coarse width s x s
+                coarse = _full_width(residual, fold[..., :wc])
+                tiles = spectrum.reshape(channels, s, hc, half)
+                for start in range(0, half, wc):
+                    tiles[..., start:start + wc] = coarse[:, None, :, :half - start]
+            # Times conj(H) as conj(conj(.) H), equal bit for bit, with no conj(H) array.
+            np.conjugate(spectrum, out=spectrum)
+            np.multiply(spectrum, response, out=spectrum)
+            np.conjugate(spectrum, out=spectrum)
+            x = irfft2_into(spectrum, np.empty(self.input_shape))
             x *= -mu
             x += x0
             return (x, *numbers)

@@ -5,6 +5,8 @@ finite differences) and touches only the operators' public apply methods,
 so it stays independent of the FFT fast paths it validates.
 """
 
+import tracemalloc
+
 import numpy as np
 
 
@@ -88,3 +90,14 @@ def gradient_descent_minimize(grad, x0, lipschitz, tol=1e-12, max_iters=200000):
         if np.linalg.norm(g) <= tol:
             break
     return x
+
+
+def peak_traced_bytes(call):
+    """Peak bytes that ``call()`` allocates (numpy data included), after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -291,6 +291,35 @@ class TestRestore:
         assert main(["restore", "--config", str(workspace / "x.cfg")]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_unparsable_config_value_names_key_and_file(self, workspace, capsys):
+        self.degrade_identity(workspace)
+        io.write_config(workspace / "bad.cfg", {
+            "measurement": str(workspace / "y.pgt"), "output": str(workspace / "x.pgt"),
+            "method": "idpg", "T": "abc",
+        })
+        assert main(["restore", "--config", str(workspace / "bad.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert "T='abc' is not a valid int" in err and "bad.cfg" in err
+        assert not (workspace / "x.pgt").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda meta: meta.pop("channels"), "lacks the image shape key(s) channels"),
+        (lambda meta: meta.update(height="tall"), "height='tall' is not a valid int"),
+    ], ids=["missing", "unparsable"])
+    def test_bad_sidecar_shape_names_key_and_sidecar(self, workspace, capsys, edit, message):
+        self.degrade_identity(workspace)
+        meta = io.read_config(workspace / "y.pgt.meta")
+        edit(meta)
+        io.write_config(workspace / "y.pgt.meta", meta)
+        code = main([
+            "restore", "--measurement", str(workspace / "y.pgt"),
+            "--output", str(workspace / "x.pgt"), "--method", "idpg", "--T", "4",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "y.pgt.meta" in err
+        assert not (workspace / "x.pgt").exists()
+
     @pytest.mark.parametrize("where,key", [
         *(("restore", key) for key in
           ("T", "gamma", "seed", "zeta", "eta_tilde", "beta_start", "denoiser")),

@@ -1,5 +1,6 @@
 import stat
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +15,11 @@ from pgrestore.denoisers import (
     make_denoiser,
 )
 from pgrestore.io import read_tensor, write_tensor
-from pgrestore.schemes import eps_effective
+from pgrestore.kernels import gaussian_kernel
+from pgrestore.linops import CircularConvolution
+from pgrestore.metrics import NoiseSpec, degrade
+from pgrestore.schemes import eps_effective, make_ddpm_schedule, make_scheme_config, run_scheme
+from oracles import peak_traced_bytes
 
 SHAPE = (1, 12, 12)
 
@@ -81,6 +86,58 @@ class TestWienerMMSE:
         with pytest.raises(ValueError):
             WienerMMSE(prior)(rng.standard_normal(SHAPE), 0.5)
 
+
+
+    def test_call_allocates_little_besides_its_output(self, rng):
+        # x - mean is filtered in place in the output, through the thread's
+        # spectrum made by the first call; the shrink weights are half an
+        # image. Bound: two images plus 16 KiB.
+        prior = WienerPrior.smooth_default((128, 128), amplitude=16.0)
+        denoiser = WienerMMSE(prior)
+        x = rng.standard_normal((1, 128, 128))
+        assert peak_traced_bytes(lambda: denoiser(x, 0.3)) <= 2 * x.nbytes + 16 * 1024
+
+    def test_threads_sharing_one_denoiser_match_serial_runs(self):
+        # Each thread keeps its own work array, so threads that restore
+        # images of two sizes (1 and 3 channels, at different noise levels)
+        # through one denoiser at once get exactly what a serial run gets.
+        size = 64
+        prior = WienerPrior.smooth_default((size, size), amplitude=16.0)
+        denoiser = WienerMMSE(prior)
+        cases = []
+        for channels, steps in ((1, 20), (3, 15)):
+            op = CircularConvolution(gaussian_kernel(5, 2.0), (channels, size, size))
+            x_star = prior.sample(np.random.default_rng(channels), channels=channels)
+            y = degrade(op, x_star, NoiseSpec(0.05, seed=channels))
+            cfg = make_scheme_config("idpg", make_ddpm_schedule(steps), 0.05, seed=channels)
+            cases.append((op, y, cfg))
+        serial = [run_scheme(denoiser, *case)[0] for case in cases]
+        # More threads than a 2-CPU host has cores, switching often; thread k
+        # starts on case k % 2 and then alternates irregularly.
+        order, workers = [0, 1, 1, 0, 0, 1], 4
+        results = [[] for _ in range(workers)]
+        start = threading.Barrier(workers)
+
+        def restore(k):
+            start.wait()
+            for i in order:
+                case = (k + i) % 2
+                results[k].append((case, run_scheme(denoiser, *cases[case])[0]))
+
+        threads = [threading.Thread(target=restore, args=(k,)) for k in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got in results:
+            assert len(got) == len(order)
+            assert all(np.array_equal(x, serial[case]) for case, x in got)
 
 
 def _full_grid_filter(x, response):

@@ -25,7 +25,13 @@ from pgrestore.linops import (
     SingularOperatorError,
 )
 from pgrestore.schemes import make_ddpm_schedule, make_scheme_config, run_scheme
-from oracles import directional_derivative, operator_matrix, reg_pinv_svd, wls_objective_dense
+from oracles import (
+    directional_derivative,
+    operator_matrix,
+    peak_traced_bytes,
+    reg_pinv_svd,
+    wls_objective_dense,
+)
 
 
 def dense_instance(rng, m=5, n=8):
@@ -354,6 +360,24 @@ class TestGuidedStep:
         expected_x, expected_trace = run_scheme(WienerMMSE(prior), dense, y, cfg)
         assert np.linalg.norm(x - expected_x) <= 1e-10 * np.linalg.norm(expected_x)
         np.testing.assert_allclose(trace.residual_after, expected_trace.residual_after, rtol=1e-10)
+
+    @pytest.mark.parametrize("kind,images", [("conv", 1), ("sr2", 2), ("sr4", 2)])
+    def test_step_call_allocates_little_besides_its_output(self, rng, kind, images):
+        # At 128^2 a call writes into the arrays its run's step owns: it may
+        # allocate its output (one image), and the sr steps one more image of
+        # numpy buffers, plus 16 KiB.
+        shape = (1, 128, 128)
+        if kind == "conv":
+            op = CircularConvolution(gaussian_kernel(5, 10.0), shape)
+        else:
+            op = DownsampleConvolution(bicubic_kernel(int(kind[2])), int(kind[2]), shape)
+        x0 = rng.standard_normal(shape)
+        step = make_guided_step(op, rng.standard_normal(op.output_shape), 0.01)
+        first = step(x0, 0.5, 1.0)[0]
+        kept = first.copy()
+        peak = peak_traced_bytes(lambda: step(x0, 0.5, 1.0))
+        assert peak <= images * first.nbytes + 16 * 1024
+        assert np.array_equal(first, kept)  # a later call leaves an earlier x alone
 
     @pytest.mark.parametrize("kind", ["conv", "sr2", "mask", "dense"])
     def test_bad_arguments_rejected(self, rng, kind):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pgrestore.linops as linops
 import pgrestore.schemes as schemes
 from pgrestore.denoisers import Identity, WienerMMSE, WienerPrior
 from pgrestore.guidance import make_guided_step
@@ -320,9 +321,10 @@ def test_no_guided_step_raises_the_data_term(kind, gain, method, policy, seed):
     ("deblur", 4), ("sr2", 4), ("inpaint", 2), ("sr4", 4)])
 def test_fft_calls_per_iteration(monkeypatch, method, task, per_iteration):
     # Exact counts from the first denoiser call on: the Fourier-domain
-    # guided step of the spectral operators makes one fft2 and one ifft2
+    # guided step of the spectral operators makes one rfft2 and one inverse
     # (F(y) is taken once per run, before counting starts), a mask's step
-    # none; the Wiener denoiser makes 2.
+    # none; the Wiener denoiser makes 2. The inverse, linops.irfft2_into, is
+    # one 2-D transform made of two 1-D passes, so it counts once.
     shape = (1, 32, 32)
     prior = WienerPrior.smooth_default(shape[1:], amplitude=16.0)
     x_star = prior.sample(np.random.default_rng(0))
@@ -337,12 +339,13 @@ def test_fft_calls_per_iteration(monkeypatch, method, task, per_iteration):
     cfg = make_scheme_config(method, make_ddpm_schedule(10), 0.05, seed=3)
 
     calls = []
-    for name in ("fft2", "ifft2", "rfft2", "irfft2"):
-        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+    transforms = [(np.fft, name) for name in ("fft2", "ifft2", "rfft2", "irfft2")]
+    for owner, name in transforms + [(linops, "irfft2_into")]:
+        def counted(*args, _fn=getattr(owner, name), **kwargs):
             if calls:
                 calls[0] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     denoiser = WienerMMSE(prior)
 
     def start_counting(x, sigma):
