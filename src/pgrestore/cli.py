@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from .denoisers import WienerPrior, make_denoiser
 from .linops import CircularConvolution, DownsampleConvolution, Mask, as_image
 from .metrics import NoiseSpec, degrade, mse, psnr
 from .schemes import make_ddpm_schedule, make_scheme_config, run_scheme
-from .theory import run_verifier_battery
 
 TASKS = ("deblur", "sr", "inpaint")
 
@@ -92,11 +92,14 @@ def _coerce(options: dict, key: str, value, source):
 
 
 def _convert(kind, key: str, value: str, source):
-    """``kind(value)``; a failure names the key, the value and ``source``."""
+    """``kind(value)``; a failure or a non-finite float names the key, the value and ``source``."""
     try:
-        return kind(value)
+        converted = kind(value)
     except ValueError:
         raise ValueError(f"{source}: {key}={value!r} is not a valid {kind.__name__}") from None
+    if kind is float and not math.isfinite(converted):
+        raise ValueError(f"{source}: {key}={value!r} is not a finite number")
+    return converted
 
 
 def _resolve(options: dict, config_path, flag_values: dict, echoed_keys=()) -> dict:
@@ -143,6 +146,16 @@ def _build_operator(cfg: dict, image_shape):
     return Mask(mask, image_shape)
 
 
+def _output_path(path, flag: str) -> Path:
+    """``path`` as a file to write, checked before any work: given, and not a directory."""
+    if path is None:
+        raise ValueError(f"missing required {flag} path")
+    p = Path(path)
+    if p.is_dir():
+        raise ValueError(f"{flag} {p} is a directory, not a file")
+    return p
+
+
 def _read_source(path) -> np.ndarray:
     p = _require_file(path, "input image")
     data = io.read_tensor(p) if p.suffix == ".pgt" else io.read_image(p)
@@ -167,10 +180,8 @@ def cmd_degrade(args) -> int:
     cfg = _resolve(DEGRADE_OPTIONS, args.config, vars(args), SIDECAR_SHAPE_KEYS)
     source = _read_source(cfg["input"])
     op = _build_operator(cfg, source.shape)
+    out = _output_path(cfg["output"], "--output")
     y = degrade(op, source, NoiseSpec(sigma_e=cfg["sigma_e"], seed=cfg["seed"]))
-    if cfg["output"] is None:
-        raise ValueError("missing required --output path")
-    out = Path(cfg["output"])
     out.parent.mkdir(parents=True, exist_ok=True)
     io.write_tensor(out, _measurement_to_3d(y))
     sidecar = dict(cfg)
@@ -182,6 +193,9 @@ def cmd_degrade(args) -> int:
 
 def cmd_restore(args) -> int:
     cfg = _resolve(RESTORE_OPTIONS, args.config, vars(args))
+    out = _output_path(cfg["output"], "--output")
+    if cfg["export_image"]:
+        _output_path(cfg["export_image"], "--export-image")
     meas_file = _require_file(cfg["measurement"], "measurement file")
     sidecar_path = cfg["sidecar"] or str(meas_file) + ".meta"
     sidecar = io.read_config(_require_file(sidecar_path, "measurement sidecar"))
@@ -219,13 +233,10 @@ def cmd_restore(args) -> int:
     )
     x, trace = run_scheme(denoiser, op, y, scheme)
 
-    if cfg["output"] is None:
-        raise ValueError("missing required --output path")
-    out = Path(cfg["output"])
     out.parent.mkdir(parents=True, exist_ok=True)
     io.write_tensor(out, x)
     trace.save(str(out) + ".trace")
-    if cfg.get("export_image"):
+    if cfg["export_image"]:
         io.write_image(cfg["export_image"], np.clip(x, 0.0, 1.0))
     echo = dict(cfg)
     echo.update(measurement=str(meas_file), sidecar=str(sidecar_path), output=str(out))
@@ -266,6 +277,8 @@ def _parse_claims(text: str) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    from .theory import run_verifier_battery  # only here: no other command needs the verifier
+
     results = run_verifier_battery(_parse_claims(args.claims) if args.claims else None)
     for result in results:
         print(result.line())
@@ -285,10 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, help_text, options, func in commands:
         p_cmd = sub.add_parser(name, help=help_text)
-        for key, (kind, default, key_help) in options.items():
+        # Flags stay strings here: _resolve converts them as it converts config values.
+        for key, (_, default, key_help) in options.items():
             if default is not None:
                 key_help = f"{key_help} (default {default})"
-            p_cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=key_help)
+            p_cmd.add_argument("--" + key.replace("_", "-"), dest=key, help=key_help)
         p_cmd.add_argument("--config", help="flat key=value config file")
         p_cmd.set_defaults(func=func)
 

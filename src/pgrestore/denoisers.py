@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import shlex
 import shutil
-import subprocess
 import tempfile
 import threading
 from dataclasses import dataclass, field
@@ -184,6 +183,8 @@ class ExternalDenoiser:
         self.timeout = timeout
 
     def __call__(self, x: np.ndarray, sigma: float) -> np.ndarray:
+        import subprocess  # only here: a worker that imports this module never spawns
+
         _check_sigma(sigma)
         workspace = Path(tempfile.mkdtemp(prefix="pgrestore-denoise-"))
         try:

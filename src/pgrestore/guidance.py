@@ -32,6 +32,8 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linops import LinearOperator, _check_shape
@@ -126,14 +128,14 @@ def delta_schedule(alpha_bar, gamma: float, sigma_e: float):
     to [0, 1] to absorb floating-point drift.
     """
     alpha_bar = np.asarray(alpha_bar, dtype=float)
-    if np.any(alpha_bar <= 0) or np.any(alpha_bar > 1):
+    if not np.all((alpha_bar > 0) & (alpha_bar <= 1)):
         raise ValueError("alpha_bar values must lie in (0, 1]")
     if np.any(np.diff(alpha_bar) > 0):
         raise ValueError("alpha_bar must be non-increasing in t")
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if sigma_e < 0:
-        raise ValueError(f"sigma_e must be nonnegative, got {sigma_e}")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
+    if not 0.0 <= sigma_e < math.inf:
+        raise ValueError(f"sigma_e must be nonnegative and finite, got {sigma_e}")
     if sigma_e > 0:
         delta = np.clip(alpha_bar**gamma, 0.0, 1.0)
         return delta, delta.copy()
@@ -142,8 +144,9 @@ def delta_schedule(alpha_bar, gamma: float, sigma_e: float):
 
 def eta_from_noise(sigma_e: float, eta_tilde: float) -> float:
     """BP regularizer scaled by the observation noise: max(1e-4, (2 sigma_e)^2 eta_tilde)."""
-    if sigma_e < 0 or eta_tilde < 0:
-        raise ValueError("sigma_e and eta_tilde must be nonnegative")
+    if not (0.0 <= sigma_e < math.inf and 0.0 <= eta_tilde < math.inf):
+        raise ValueError(f"sigma_e and eta_tilde must be nonnegative and finite, "
+                         f"got {sigma_e} and {eta_tilde}")
     return max(ETA_FLOOR, (2.0 * sigma_e) ** 2 * eta_tilde)
 
 

@@ -20,8 +20,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_e < 0:
-            raise ValueError(f"sigma_e must be nonnegative, got {self.sigma_e}")
+        if not 0.0 <= self.sigma_e < math.inf:
+            raise ValueError(f"sigma_e must be nonnegative and finite, got {self.sigma_e}")
 
 
 def degrade(op: LinearOperator, x_star: np.ndarray, noise: NoiseSpec) -> np.ndarray:

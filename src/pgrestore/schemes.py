@@ -133,10 +133,10 @@ class SchemeConfig:
     """Everything a restoration run needs besides the operator and denoiser.
 
     ``eta`` is the BP regularizer; the LS scale c is derived per run from
-    ||A|| (``guidance.make_guided_step``). ``mu`` (step sizes, in [0, 1]),
-    ``delta`` (BP-to-LS mix) and ``w`` (DDPG effective-noise weights) are
-    arrays of length T; entry i applies at iteration t = i + 1. ``delta``
-    must be non-increasing along t, i.e. the mix moves monotonically from
+    ||A|| (``guidance.make_guided_step``). ``mu`` (step sizes), ``delta``
+    (BP-to-LS mix) and ``w`` (DDPG effective-noise weights) are arrays of
+    length T with entries in [0, 1]; entry i applies at iteration t = i + 1.
+    ``eta`` and every entry must be finite. ``delta`` must be non-increasing along t, i.e. the mix moves monotonically from
     BP toward LS as t decreases. idbp pins delta = 0 and pgm_ls pins delta
     = 1. ``zeta`` is DDPG's share of fresh noise and ``seed`` its random stream.
     """
@@ -159,13 +159,15 @@ class SchemeConfig:
             object.__setattr__(self, name, values)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.eta < 0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        # Each range check is written so that NaN fails it.
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be nonnegative and finite, got {self.eta}")
         # The ddim-ratio policy yields mu = 0 at t = 1, so zero is allowed.
-        if np.any(self.mu < 0) or np.any(self.mu > 1):
-            raise ValueError("step sizes must lie in [0, 1]")
-        if np.any(self.delta < 0) or np.any(self.delta > 1):
-            raise ValueError("delta values must lie in [0, 1]")
+        for name, what in (("mu", "step sizes"), ("delta", "delta values"),
+                           ("w", "effective-noise weights")):
+            values = getattr(self, name)
+            if not np.all((values >= 0.0) & (values <= 1.0)):
+                raise ValueError(f"{what} ({name}) must lie in [0, 1]")
         if np.any(np.diff(self.delta) > _MONOTONE_SLACK):
             raise ValueError("delta must be non-increasing in t")
         if self.method == "idbp" and np.any(self.delta != 0.0):

@@ -320,6 +320,59 @@ class TestRestore:
         assert message in err and "y.pgt.meta" in err
         assert not (workspace / "x.pgt").exists()
 
+    @pytest.mark.parametrize("command,flags,key,source", [
+        ("restore", ["--sigma-e", "nan"], "sigma_e", "command line"),
+        ("degrade", ["--sigma-e", "nan"], "sigma_e", "command line"),
+        ("restore", ["--eta-tilde", "nan"], "eta_tilde", "command line"),
+        ("restore", ["--eta-tilde", "inf"], "eta_tilde", "command line"),
+        ("restore", ["--gamma", "inf"], "gamma", "command line"),
+        ("restore", ["--config", "{nan_cfg}"], "gamma", "nan.cfg"),
+        ("restore", [], "sigma_e", "y.pgt.meta"),
+    ], ids=["restore-sigma-e-nan", "degrade-sigma-e-nan", "eta-tilde-nan", "eta-tilde-inf",
+            "gamma-inf", "gamma-nan-in-cfg", "sigma-e-nan-in-sidecar"])
+    def test_non_finite_setting_names_key_and_source(
+        self, workspace, capsys, command, flags, key, source
+    ):
+        # NaN passes every `x < 0` check: these ran as the noiseless
+        # configuration, or failed only inside the loop
+        self.degrade_identity(workspace)
+        if source == "y.pgt.meta":
+            meta = io.read_config(workspace / "y.pgt.meta")
+            io.write_config(workspace / "y.pgt.meta", {**meta, "sigma_e": "nan"})
+        io.write_config(workspace / "nan.cfg", {"gamma": "nan"})
+        out = workspace / "out.pgt"
+        paths = {
+            "restore": ["--measurement", str(workspace / "y.pgt"), "--method", "idpg",
+                        "--T", "4"],
+            "degrade": ["--input", str(workspace / "source.pgm"), "--task", "deblur",
+                        "--kernel", str(workspace / "delta.txt")],
+        }[command]
+        flags = [flag.format(nan_cfg=workspace / "nan.cfg") for flag in flags]
+        capsys.readouterr()
+        assert main([command, *flags, *paths, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}=" in err and "is not a finite number" in err and source in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--output", "--export-image"])
+    def test_output_naming_a_directory_fails_before_the_run(
+        self, workspace, monkeypatch, capsys, flag
+    ):
+        runs = []
+        monkeypatch.setattr(cli, "run_scheme", lambda *args: runs.append(args))
+        self.degrade_identity(workspace)
+        (workspace / "taken").mkdir()
+        paths = {"--output": str(workspace / "x.pgt"), "--export-image": str(workspace / "x.pgm")}
+        paths[flag] = str(workspace / "taken")
+        argv = ["restore", "--measurement", str(workspace / "y.pgt"), "--method", "idpg",
+                "--T", "4"]
+        for name, path in paths.items():
+            argv += [name, path]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"{flag} {workspace / 'taken'} is a directory" in capsys.readouterr().err
+        assert runs == []
+
     @pytest.mark.parametrize("where,key", [
         *(("restore", key) for key in
           ("T", "gamma", "seed", "zeta", "eta_tilde", "beta_start", "denoiser")),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -433,6 +435,20 @@ class TestSchedules:
         assert eta_from_noise(0.5, 1.0) == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(ValueError):
             eta_from_noise(-0.1, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_settings_rejected(self, bad):
+        # NaN passes a bare `x < 0` check and would run the noiseless mix
+        abar = np.array([0.9, 0.5, 0.1])
+        with pytest.raises(ValueError, match="gamma"):
+            delta_schedule(abar, bad, 0.05)
+        with pytest.raises(ValueError, match="sigma_e"):
+            delta_schedule(abar, 1.0, bad)
+        with pytest.raises(ValueError, match="alpha_bar"):
+            delta_schedule(np.array([0.9, bad, 0.1]), 1.0, 0.05)
+        for args in ((bad, 0.7), (0.05, bad)):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                eta_from_noise(*args)
 
     def test_mu_policies(self):
         abar = np.array([1.0, 0.9, 0.7, 0.4])

@@ -40,6 +40,12 @@ class TestDegrade:
         with pytest.raises(ValueError):
             NoiseSpec(-0.1)
 
+    @pytest.mark.parametrize("sigma_e", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma_e):
+        # NaN passes a bare `sigma_e < 0`, and degrade then adds no noise
+        with pytest.raises(ValueError, match="sigma_e must be nonnegative and finite"):
+            NoiseSpec(sigma_e)
+
 
 class TestPSNR:
     def test_identical_images_hit_infinity_sentinel(self, rng):

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -156,6 +157,21 @@ class TestSchemeConfig:
         ):
             with pytest.raises(ValueError, match=message):
                 SchemeConfig(**{**good, **bad})
+
+    @pytest.mark.parametrize("bad,message", [
+        (dict(eta=math.nan), "eta must be nonnegative and finite"),
+        (dict(eta=math.inf), "eta must be nonnegative and finite"),
+        (dict(mu=np.array([1.0, math.nan, 1.0])), "step sizes"),
+        (dict(delta=np.array([math.nan, 0.5, 0.1])), "delta values"),
+        (dict(w=np.array([1.0, math.nan, 1.0])), "effective-noise weights"),
+        (dict(w=np.array([1.0, 1.5, 1.0])), "effective-noise weights"),
+    ], ids=["eta-nan", "eta-inf", "mu-nan", "delta-nan", "w-nan", "w-above-one"])
+    def test_config_rejects_non_finite_values(self, bad, message):
+        # comparisons are false for NaN, so each range check is written to fail it
+        good = dict(method="idpg", schedule=make_ddpm_schedule(3), eta=0.1, mu=np.ones(3),
+                    delta=np.array([0.9, 0.5, 0.1]), w=np.ones(3))
+        with pytest.raises(ValueError, match=message):
+            SchemeConfig(**{**good, **bad})
 
 
 class TestIDPG:
