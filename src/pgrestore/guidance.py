@@ -110,7 +110,7 @@ def make_guided_step(op: LinearOperator, y, eta: float):
     default_ls_scale(op))``: ``step(x0, delta, mu)``, which returns what
     ``guide(op, x0, y, delta, eta, c, mu)`` does, up to rounding. delta
     and x0 are not checked per call: ``SchemeConfig`` holds delta in
-    [0, 1], and the loops check the denoiser's output shape.
+    [0, 1], and the loop checks the denoiser's output shape.
     """
     y = np.asarray(y, dtype=float)
     _check_shape("measurement", y, op.output_shape)

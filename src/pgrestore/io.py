@@ -74,15 +74,35 @@ def _write_grid_text(path, array, fmt) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _numbers(path, tokens, kind, what) -> list:
+    """``tokens`` as ``kind`` (int or float); one that is not raises naming ``path``."""
+    out = []
+    for token in tokens:
+        try:
+            out.append(kind(token))
+        except ValueError:
+            raise ValueError(f"{path}: {what} {token!r} is not "
+                             f"{'an integer' if kind is int else 'a number'}") from None
+    return out
+
+
+def _sizes(path, tokens, least) -> list[int]:
+    """Header sizes, which must be integers of at least ``least``."""
+    sizes = _numbers(path, tokens, int, "size")
+    if min(sizes) < least:
+        raise ValueError(f"{path}: sizes {' '.join(tokens)} must be at least {least}")
+    return sizes
+
+
 def _read_grid_text(path) -> np.ndarray:
     tokens = Path(path).read_text().split()
     if len(tokens) < 2:
         raise ValueError(f"{path}: missing 'H W' header")
-    h, w = int(tokens[0]), int(tokens[1])
+    h, w = _sizes(path, tokens[:2], 0)  # an empty kernel is one with no nonzero tap
     values = tokens[2:]
     if len(values) != h * w:
         raise ValueError(f"{path}: expected {h * w} values, found {len(values)}")
-    return np.array([float(v) for v in values]).reshape(h, w)
+    return np.array(_numbers(path, values, float, "value")).reshape(h, w)
 
 
 def write_kernel(path, kernel) -> None:
@@ -104,12 +124,12 @@ def read_mask(path) -> np.ndarray:
     return grid.astype(bool)
 
 
-def _read_netpbm_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
+def _read_netpbm_tokens(path, data: bytes, count: int) -> tuple[list[str], int]:
     """First ``count`` whitespace-separated header tokens, skipping # comments."""
     tokens, pos = [], 0
     while len(tokens) < count:
         if pos >= len(data):
-            raise ValueError("truncated image header")
+            raise ValueError(f"{path}: truncated image header")
         ch = data[pos : pos + 1]
         if ch.isspace():
             pos += 1
@@ -120,21 +140,21 @@ def _read_netpbm_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
             start = pos
             while pos < len(data) and not data[pos : pos + 1].isspace():
                 pos += 1
-            tokens.append(data[start:pos])
+            tokens.append(data[start:pos].decode("latin-1"))
     return tokens, pos + 1  # single whitespace byte separates header from body
 
 
 def read_image(path) -> np.ndarray:
     """Load a binary PGM/PPM file as a float (channels, height, width) array in [0, 1]."""
     data = Path(path).read_bytes()
-    tokens, body_start = _read_netpbm_tokens(data, 4)
+    tokens, body_start = _read_netpbm_tokens(path, data, 4)
     magic = tokens[0]
-    if magic not in (b"P5", b"P6"):
+    if magic not in ("P5", "P6"):
         raise ValueError(f"{path}: unsupported image magic {magic!r}")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 255:
+    w, h = _sizes(path, tokens[1:3], 1)
+    if _numbers(path, tokens[3:], int, "maxval") != [255]:
         raise ValueError(f"{path}: only 8-bit images (maxval 255) are supported")
-    channels = 1 if magic == b"P5" else 3
+    channels = 1 if magic == "P5" else 3
     body = data[body_start : body_start + w * h * channels]
     if len(body) != w * h * channels:
         raise ValueError(f"{path}: truncated pixel data")

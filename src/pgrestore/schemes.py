@@ -1,13 +1,14 @@
-"""Restoration loops: deterministic IDPG and its sampling variant DDPG.
+"""The restore loop: deterministic IDPG and its sampling variant DDPG.
 
-Both loops alternate a Gaussian denoiser with a guidance step whose
+One loop alternates a Gaussian denoiser with a guidance step whose
 direction moves from back-projection to least squares as iterations
-proceed (see :mod:`pgrestore.guidance`). Each run builds its step once,
-with ``make_guided_step``, in the operator's own form: two FFTs per
-iteration besides the denoiser's for blur and downsampling, none for masks.
-IDPG is fully deterministic; its endpoint configurations reproduce IDBP
-(pure BP, delta = 0) and a plain proximal-gradient LS scheme (delta =
-1). DDPG re-noises each guided estimate with a seeded mix of the
+proceed (see :mod:`pgrestore.guidance`), and takes a re-noising hook.
+Each run builds its step once, with ``make_guided_step``, in the
+operator's own form: two FFTs per iteration besides the denoiser's for
+blur and downsampling, none for masks. IDPG runs the loop without the
+hook and is fully deterministic; its endpoint configurations reproduce
+IDBP (pure BP, delta = 0) and a plain proximal-gradient LS scheme (delta
+= 1). DDPG's hook re-noises each guided estimate with a seeded mix of the
 effective predicted noise and fresh Gaussian noise.
 
 Conventions baked in here and surfaced in the docstrings:
@@ -40,6 +41,7 @@ draw gets a core of its own. Concurrent runs still share nothing mutable.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -239,43 +241,47 @@ class RunTrace:
     objective_after: np.ndarray
     residual_after: np.ndarray
 
-    @classmethod
-    def from_rows(cls, rows) -> "RunTrace":
-        """Columns from rows holding the fields above, in order."""
-        return cls(*(np.array(col) for col in zip(*rows)))
-
-    def lines(self) -> list[str]:
-        return [
-            f"{int(t)} {d:.12g} {o:.12g} {r:.12g}"
-            for t, d, o, r in zip(self.t, self.delta, self.objective, self.residual)
-        ]
-
     def save(self, path) -> None:
-        Path(path).write_text("\n".join(self.lines()) + "\n")
+        """Write one "t delta objective residual" line per iteration."""
+        rows = zip(self.t, self.delta, self.objective, self.residual)
+        Path(path).write_text("".join(f"{int(t)} {d:.12g} {o:.12g} {r:.12g}\n"
+                                      for t, d, o, r in rows))
 
 
-def _denoiser_step(denoiser, x, sigma, t):
-    try:
-        out = np.asarray(denoiser(x, sigma), dtype=float)
-    except Exception as exc:
-        raise RuntimeError(f"denoiser failed at iteration t={t}: {exc}") from exc
-    if out.shape != x.shape:
-        raise RuntimeError(f"denoiser returned shape {out.shape}, expected {x.shape}, "
-                           f"at iteration t={t}, stage denoise")
-    if not np.isfinite(out).all():
-        raise RuntimeError(f"non-finite iterate at iteration t={t}, stage denoise")
-    return out
+def _loop(denoiser, step, cfg: SchemeConfig, x, renoise=None):
+    """Denoise, guide, record and re-noise for t = T, ..., 1, from start point x.
 
-
-def _guide_step(step, x0, cfg: SchemeConfig, t):
-    """Guided estimate and its trace row; raises if the data term is not finite."""
-    delta_t = float(cfg.delta[t - 1])
-    x, *numbers = step(x0, delta_t, cfg.mu[t - 1])
-    if not np.isfinite(numbers).all():
-        raise RuntimeError(
-            f"non-finite iterate at iteration t={t}, stage guide "
-            f"(objective, residual before and after: {numbers})")
-    return x, (t, delta_t, *numbers)
+    Without ``renoise`` (IDPG) the denoiser sees x and the guided estimate
+    is the next iterate; with it (DDPG) the denoiser sees x_t / sqrt(abar_t)
+    and ``renoise(x, x_guided, t)`` overwrites x with x_{t-1}.
+    """
+    alpha_bar = cfg.schedule.alpha_bar
+    rows = []
+    for t in range(cfg.T, 0, -1):
+        abar = alpha_bar[t]
+        sigma_t = float(np.sqrt((1.0 - abar) / abar))
+        try:
+            x0 = np.asarray(denoiser(x if renoise is None else x / np.sqrt(abar), sigma_t),
+                            dtype=float)
+        except Exception as exc:
+            raise RuntimeError(f"denoiser failed at iteration t={t}: {exc}") from exc
+        if x0.shape != x.shape:
+            raise RuntimeError(f"denoiser returned shape {x0.shape}, expected {x.shape}, "
+                               f"at iteration t={t}, stage denoise")
+        if not np.isfinite(x0).all():
+            raise RuntimeError(f"non-finite iterate at iteration t={t}, stage denoise")
+        delta_t = float(cfg.delta[t - 1])
+        x_guided, *numbers = step(x0, delta_t, cfg.mu[t - 1])
+        if not np.isfinite(numbers).all():
+            raise RuntimeError(
+                f"non-finite iterate at iteration t={t}, stage guide "
+                f"(objective, residual before and after: {numbers})")
+        rows.append((t, delta_t, *numbers))
+        if renoise is None:
+            x = x_guided
+        else:
+            renoise(x, x_guided, t)
+    return x, RunTrace(*(np.array(col) for col in zip(*rows)))
 
 
 def idpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
@@ -286,54 +292,36 @@ def idpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     with the run trace. Deterministic given its arguments.
     """
     y = np.asarray(y, dtype=float)
-    sched = cfg.schedule
     step = make_guided_step(op, y, cfg.eta)
-    x = op.apply_reg_pinv(y, cfg.eta)
-    rows = []
-    for t in range(sched.T, 0, -1):
-        abar = sched.alpha_bar[t]
-        sigma_t = float(np.sqrt((1.0 - abar) / abar))
-        x0 = _denoiser_step(denoiser, x, sigma_t, t)
-        x, row = _guide_step(step, x0, cfg, t)
-        rows.append(row)
-    return x, RunTrace.from_rows(rows)
+    return _loop(denoiser, step, cfg, op.apply_reg_pinv(y, cfg.eta))
 
 
-class _FreshNoise:
-    """A run's ``count`` fresh draws of ``shape`` from ``rng``, in stream order.
+@contextmanager
+def _fresh_noise(rng, shape, count):
+    """Yield ``draw()``, which returns the run's ``count`` fresh draws of ``shape``.
 
-    ``next(source)`` returns the next draw. A large draw is made in one
-    worker thread while the caller uses the previous one (the Generator,
-    pocketfft and the ufuncs release the GIL); only the worker touches
-    ``rng`` once the source exists, and leaving its ``with`` block joins
-    the worker. A small draw costs less than the handoff and is made inline.
+    The draws keep ``rng``'s stream order. A large draw is made in one
+    worker thread, one iteration ahead, while the caller uses the previous
+    one (the Generator, pocketfft and the ufuncs release the GIL); only the
+    worker touches ``rng`` then, and it is joined when the block exits. A
+    small draw costs less than the handoff and is made inline.
     """
+    if math.prod(shape) < _DRAW_AHEAD_MIN_SIZE:
+        yield lambda: rng.standard_normal(shape)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: only here
 
-    def __init__(self, rng, shape, count):
-        self._draw = lambda: rng.standard_normal(shape)
-        self._left = count
-        self._worker = None
-        if math.prod(shape) >= _DRAW_AHEAD_MIN_SIZE:
-            from concurrent.futures import ThreadPoolExecutor  # imports logging: only here
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead, left = worker.submit(rng.standard_normal, shape), count
 
-            self._worker = ThreadPoolExecutor(max_workers=1)
-            self._ahead = self._worker.submit(self._draw)
+        def draw():
+            nonlocal ahead, left
+            eps, left = ahead.result(), left - 1
+            if left > 0:
+                ahead = worker.submit(rng.standard_normal, shape)
+            return eps
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._worker is not None:
-            self._worker.shutdown()
-
-    def __next__(self):
-        if self._worker is None:
-            return self._draw()
-        eps = self._ahead.result()
-        self._left -= 1
-        if self._left > 0:
-            self._ahead = self._worker.submit(self._draw)
-        return eps
+        yield draw
 
 
 def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
@@ -347,33 +335,26 @@ def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     only source of randomness, so equal seeds give bit-identical runs.
     Re-noising works in place, in the out-of-place form's operand order.
     On a large image the fresh draws come from a worker thread (see
-    ``_FreshNoise``), which is joined before this returns or raises.
+    ``_fresh_noise``), which is joined before this returns or raises.
     """
-    y = np.asarray(y, dtype=float)
-    sched = cfg.schedule
     step = make_guided_step(op, y, cfg.eta)
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal(op.input_shape)
-    sqrt_keep = np.sqrt(1.0 - cfg.zeta)
-    sqrt_fresh = np.sqrt(cfg.zeta)
-    rows = []
-    with _FreshNoise(rng, op.input_shape, sched.T) as draws:
-        for t in range(sched.T, 0, -1):
-            abar = sched.alpha_bar[t]
-            abar_prev = sched.alpha_bar[t - 1]
-            sigma_t = float(np.sqrt((1.0 - abar) / abar))
-            x0 = _denoiser_step(denoiser, x / np.sqrt(abar), sigma_t, t)
-            x_guided, row = _guide_step(step, x0, cfg, t)
-            rows.append(row)
+    alpha_bar = cfg.schedule.alpha_bar
+    sqrt_keep, sqrt_fresh = np.sqrt(1.0 - cfg.zeta), np.sqrt(cfg.zeta)
+    with _fresh_noise(rng, op.input_shape, cfg.T) as draw:
+        def renoise(x, x_guided, t):
+            abar, abar_prev = alpha_bar[t], alpha_bar[t - 1]
             noise = eps_effective(x, x_guided, abar)
             noise *= cfg.w[t - 1] * sqrt_keep
-            eps = next(draws)
+            eps = draw()
             eps *= sqrt_fresh
             noise += eps
             noise *= np.sqrt(1.0 - abar_prev)
             np.multiply(np.sqrt(abar_prev), x_guided, out=x)
             x += noise
-    return x, RunTrace.from_rows(rows)
+
+        return _loop(denoiser, step, cfg, x, renoise)
 
 
 def run_scheme(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):

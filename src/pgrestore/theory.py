@@ -51,6 +51,8 @@ _MODES = ("ls", "bp", "wls")
 _EIGENBASIS_TOL = 1e-8
 # The delta values at which claim 3 takes its guided step, BP to LS.
 _CLAIM3_DELTAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+# A check's instance i uses seed _SEEDS[check] + i, so `pgrestore verify` is reproducible.
+_SEEDS = {"claim1": 1100, "claim2": 1200, "claim3": 1300, "claim4": 1400, "theorem1": 200000}
 
 
 @dataclass(frozen=True)
@@ -441,13 +443,19 @@ def _random_full_rank(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return a
 
 
-def claim1_check(n_instances: int = 25, seed: int = 1100) -> CheckResult:
+def _instances(check: str, count: int):
+    """A claim check's instances: (seed, its generator, m, n) with 2 <= m <= 6, m <= n <= 10."""
+    for i in range(count):
+        seed = _SEEDS[check] + i
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 7))
+        yield seed, rng, m, int(rng.integers(m, 11))
+
+
+def claim1_check(n_instances: int = 25) -> CheckResult:
     """Zero sets of the preconditioned and plain gradients coincide."""
     tol = 1e-10
-    for i in range(n_instances):
-        rng = np.random.default_rng(seed + i)
-        m = int(rng.integers(2, 7))
-        n = int(rng.integers(m, 11))
+    for seed, rng, m, n in _instances("claim1", n_instances):
         op = DenseOperator(_random_full_rank(rng, m, n))
         delta = float(rng.uniform(0.05, 0.95))
         eta = float(rng.choice([0.0, 0.1]))
@@ -461,7 +469,7 @@ def claim1_check(n_instances: int = 25, seed: int = 1100) -> CheckResult:
         if max(at_sol) > tol or min(off_sol) <= tol:
             return CheckResult(
                 "claim1", False,
-                f"zero-set mismatch at instance seed {seed + i}: "
+                f"zero-set mismatch at instance seed {seed}: "
                 f"at-solution norms {at_sol}, perturbed norms {off_sol}",
             )
     return CheckResult(
@@ -471,13 +479,10 @@ def claim1_check(n_instances: int = 25, seed: int = 1100) -> CheckResult:
     )
 
 
-def claim2_check(n_pairs: int = 50, seed: int = 1200) -> CheckResult:
+def claim2_check(n_pairs: int = 50) -> CheckResult:
     """Constructive P reproduces A^T W A to relative 1e-8."""
     worst = 0.0
-    for i in range(n_pairs):
-        rng = np.random.default_rng(seed + i)
-        m = int(rng.integers(2, 7))
-        n = int(rng.integers(m, 11))
+    for i, (seed, rng, m, n) in enumerate(_instances("claim2", n_pairs)):
         a = _random_full_rank(rng, m, n)
         u, _, _ = np.linalg.svd(a)
         kind = i % 3
@@ -492,20 +497,17 @@ def claim2_check(n_pairs: int = 50, seed: int = 1200) -> CheckResult:
         if rel > 1e-8:
             return CheckResult(
                 "claim2", False,
-                f"relative residual {rel:.3e} > 1e-8 at instance seed {seed + i}",
+                f"relative residual {rel:.3e} > 1e-8 at instance seed {seed}",
             )
     return CheckResult(
         "claim2", True, f"{n_pairs}/{n_pairs} pairs, worst relative residual {worst:.3e}"
     )
 
 
-def claim3_check(n_instances: int = 50, seed: int = 1300) -> CheckResult:
+def claim3_check(n_instances: int = 50) -> CheckResult:
     """One guided step with mu = 1, c = 1/l_1^2 strictly reduces the WLS term."""
     checked = 0
-    for i in range(n_instances):
-        rng = np.random.default_rng(seed + i)
-        m = int(rng.integers(2, 7))
-        n = int(rng.integers(m, 11))
+    for seed, rng, m, n in _instances("claim3", n_instances):
         op = DenseOperator(_random_full_rank(rng, m, n))
         lam1 = np.linalg.svd(op.matrix, compute_uv=False).max()
         c = 1.0 / lam1**2
@@ -518,7 +520,7 @@ def claim3_check(n_instances: int = 50, seed: int = 1300) -> CheckResult:
             if not after < before:
                 return CheckResult(
                     "claim3", False,
-                    f"no descent at instance seed {seed + i}, delta={delta}: "
+                    f"no descent at instance seed {seed}, delta={delta}: "
                     f"{before:.6e} -> {after:.6e}",
                 )
     return CheckResult(
@@ -528,13 +530,10 @@ def claim3_check(n_instances: int = 50, seed: int = 1300) -> CheckResult:
     )
 
 
-def claim4_check(n_instances: int = 50, seed: int = 1400) -> CheckResult:
+def claim4_check(n_instances: int = 50) -> CheckResult:
     """Condition-number formula matches dense eigendecomposition; ordering strict."""
     worst = 0.0
-    for i in range(n_instances):
-        rng = np.random.default_rng(seed + i)
-        m = int(rng.integers(2, 7))
-        n = int(rng.integers(m, 11))
+    for seed, rng, m, n in _instances("claim4", n_instances):
         lam = np.sort(rng.uniform(0.2, 2.0, size=m))[::-1]
         while lam[0] - lam[-1] < 0.05:
             lam = np.sort(rng.uniform(0.2, 2.0, size=m))[::-1]
@@ -544,7 +543,7 @@ def claim4_check(n_instances: int = 50, seed: int = 1400) -> CheckResult:
         if not (k_bp == 1.0 and k_bp < k_wls < k_ls):
             return CheckResult(
                 "claim4", False,
-                f"ordering violated at instance seed {seed + i}: "
+                f"ordering violated at instance seed {seed}: "
                 f"({k_bp}, {k_wls}, {k_ls})",
             )
         u, _ = np.linalg.qr(rng.standard_normal((m, m)))
@@ -559,7 +558,7 @@ def claim4_check(n_instances: int = 50, seed: int = 1400) -> CheckResult:
         if rel > 1e-8:
             return CheckResult(
                 "claim4", False,
-                f"formula mismatch {rel:.3e} > 1e-8 at instance seed {seed + i}",
+                f"formula mismatch {rel:.3e} > 1e-8 at instance seed {seed}",
             )
     return CheckResult(
         "claim4", True,
@@ -570,7 +569,6 @@ def claim4_check(n_instances: int = 50, seed: int = 1400) -> CheckResult:
 
 def theorem1_check(
     n_instances: int = 100,
-    seed: int = 200000,
     mc_draws: int = 20000,
     mc_instances: int | None = None,
 ) -> CheckResult:
@@ -581,18 +579,18 @@ def theorem1_check(
     worst_z = 0.0
     start = time.perf_counter()
     for i in range(n_instances):
-        rng = np.random.default_rng(seed + i)
-        p = random_conforming_problem(rng)
+        seed = _SEEDS["theorem1"] + i
+        p = random_conforming_problem(np.random.default_rng(seed))
         report = verify_theorem1(p)
         if not report.passed:
             return CheckResult(
                 "theorem1", False,
-                f"ordering violated at instance seed {seed + i}: {report}",
+                f"ordering violated at instance seed {seed}: {report}",
             )
         if i < mc_instances:
             for mode in _MODES:
                 closed_b2, closed_v = bias_variance_closed_form(p, mode)
-                mc = mc_bias_variance(p, mode, n_draws=mc_draws, seed=seed + 7919 + i)
+                mc = mc_bias_variance(p, mode, n_draws=mc_draws, seed=seed + 7919)
                 z_b = abs(mc.bias_sq - closed_b2) / mc.se_bias_sq
                 z_v = abs(mc.var - closed_v) / mc.se_var
                 z_mse = abs(mc.mse - (closed_b2 + closed_v)) / mc.se_mse
@@ -600,7 +598,7 @@ def theorem1_check(
                 if max(z_b, z_v, z_mse) > 3.0:
                     return CheckResult(
                         "theorem1", False,
-                        f"Monte-Carlo disagreement at instance seed {seed + i} "
+                        f"Monte-Carlo disagreement at instance seed {seed} "
                         f"({mode}): z-scores bias {z_b:.2f}, var {z_v:.2f}, "
                         f"mse {z_mse:.2f}",
                     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pgrestore import io
+from pgrestore.cli import main
 
 
 class TestTensorFormat:
@@ -126,3 +127,27 @@ class TestConfigFormat:
         path.write_text("justakey\n")
         with pytest.raises(ValueError, match="malformed"):
             io.read_config(path)
+
+
+# A malformed kernel or input image that `degrade` reads: file name, bytes, message.
+MALFORMED = {
+    "kernel-header-word": ("k.txt", b"abc 3\n1 1 1\n", "size 'abc' is not an integer"),
+    "kernel-negative-sizes": ("k.txt", b"-3 -3\n" + b"0.1 " * 9, "sizes -3 -3 must be at least 0"),
+    "kernel-value-word": ("k.txt", b"1 3\n0.25 x 0.25\n", "value 'x' is not a number"),
+    "pgm-width-word": ("in.pgm", b"P5 abc 16 255\n" + bytes(256), "size 'abc' is not an integer"),
+    "pgm-negative-sizes": ("in.pgm", b"P5 -4 -4 255\n" + bytes(16), "sizes -4 -4 must be at least 1"),
+    "pgm-truncated-header": ("in.pgm", b"P5 16", "truncated image header"),
+}
+
+
+@pytest.mark.parametrize("probe", list(MALFORMED))
+def test_degrade_names_a_malformed_file(tmp_path, capsys, probe):
+    name, content, message = MALFORMED[probe]
+    io.write_image(tmp_path / "in.pgm", np.full((1, 16, 16), 0.5))
+    io.write_kernel(tmp_path / "k.txt", np.ones((1, 1)))
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    code = main(["degrade", "--input", str(tmp_path / "in.pgm"), "--task", "deblur",
+                 "--kernel", str(tmp_path / "k.txt"), "--output", str(tmp_path / "y.pgt")])
+    assert code == 2
+    assert f"{bad}: {message}" in capsys.readouterr().err

@@ -400,8 +400,57 @@ def mask_setup(size, seed=23):
     return op, prior, degrade(op, x_star, NoiseSpec(0.05, seed=4))
 
 
+def task_setup(task, size):
+    if task == "inpaint":
+        return mask_setup(size)
+    shape = (1, size, size)
+    _, prior, x_star, _ = blur_setup(seed=29, shape=shape)
+    op = (CircularConvolution(gaussian_kernel(5, 2.0), shape) if task == "deblur"
+          else DownsampleConvolution(bicubic_kernel(2), 2, shape))
+    return op, prior, degrade(op, x_star, NoiseSpec(0.05, seed=30))
+
+
+def idpg_out_of_place(denoiser, op, y, cfg):
+    """idpg_run as a plain loop over make_guided_step: x and the six trace columns."""
+    step = make_guided_step(op, y, cfg.eta)
+    x = op.apply_reg_pinv(y, cfg.eta)
+    rows = []
+    for t in range(cfg.T, 0, -1):
+        abar = cfg.schedule.alpha_bar[t]
+        x0 = denoiser(x, float(np.sqrt((1.0 - abar) / abar)))
+        x, *numbers = step(x0, float(cfg.delta[t - 1]), cfg.mu[t - 1])
+        rows.append((t, float(cfg.delta[t - 1]), *numbers))
+    return x, [np.array(column) for column in zip(*rows)]
+
+
 def test_draw_sizes_straddle_the_threshold():
     assert INLINE**2 < schemes._DRAW_AHEAD_MIN_SIZE <= AHEAD**2
+
+
+@pytest.mark.parametrize("size", [INLINE, AHEAD])
+@pytest.mark.parametrize("task", ["deblur", "sr2", "inpaint"])
+def test_idpg_matches_a_plain_loop(task, size):
+    op, prior, y = task_setup(task, size)
+    cfg = make_scheme_config("idpg", make_ddpm_schedule(12), 0.05, step_size_policy="ddim-ratio")
+    assert 0.0 < cfg.delta.min() and cfg.delta.max() < 1.0  # BP and LS mixed throughout
+    denoiser = WienerMMSE(prior)
+    x, trace = idpg_run(denoiser, op, y, cfg)
+    x_ref, columns = idpg_out_of_place(denoiser, op, y, cfg)
+    assert np.array_equal(x, x_ref)
+    names = ("t", "delta", "objective", "residual", "objective_after", "residual_after")
+    for name, column in zip(names, columns, strict=True):
+        assert np.array_equal(getattr(trace, name), column), name
+
+
+@pytest.mark.parametrize("size", [INLINE, AHEAD])
+def test_fresh_noise_makes_exactly_count_draws(size):
+    shape, count = (1, size, size), 5
+    rng, serial = np.random.default_rng(31), np.random.default_rng(31)
+    with schemes._fresh_noise(rng, shape, count) as draw:
+        draws = [draw() for _ in range(count)]
+    for eps in draws:
+        assert np.array_equal(eps, serial.standard_normal(shape))
+    assert rng.bit_generator.state == serial.bit_generator.state
 
 
 class TestDDPG:
@@ -504,14 +553,7 @@ class TestDDPG:
 @pytest.mark.parametrize("task", ["inpaint", "deblur", "sr2"])
 def test_restore_loop_makes_no_blas_call(monkeypatch, method, task):
     # OpenBLAS's threaded reductions spin a core that DDPG's draw-ahead needs.
-    shape = (1, AHEAD, AHEAD)
-    if task == "inpaint":
-        op, prior, y = mask_setup(AHEAD)
-    else:
-        _, prior, x_star, _ = blur_setup(seed=29, shape=shape)
-        op = (CircularConvolution(gaussian_kernel(5, 2.0), shape) if task == "deblur"
-              else DownsampleConvolution(bicubic_kernel(2), 2, shape))
-        y = degrade(op, x_star, NoiseSpec(0.05, seed=30))
+    op, prior, y = task_setup(task, AHEAD)
     cfg = make_scheme_config(method, make_ddpm_schedule(4), 0.05, seed=3)
     denoiser = WienerMMSE(prior)
 
