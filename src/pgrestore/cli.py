@@ -5,7 +5,9 @@ and the commands that produce files also write the fully resolved
 configuration next to their outputs, so any run can be reproduced
 bit-exactly with ``--config <echoed file>``. Flags override config-file
 values, which override defaults; each ``degrade``/``restore`` setting is
-declared once, in that command's option table.
+declared once, in that command's option table. ``restore`` takes the
+measurement's operator and noise level from the ``<measurement>.meta``
+sidecar that ``degrade`` wrote, read with ``degrade``'s own table.
 
 Exit codes: 0 success, 1 runtime failure (including failed verification
 claims), 2 validation failure (bad flags, missing or malformed files).
@@ -44,11 +46,10 @@ DEGRADE_OPTIONS = {
     "seed": (int, 0, "noise seed"),
 }
 
-# T and the beta endpoints are fixed convention (the LS scale is derived from
-# ||A||); the rest are starting points that flags or a config file override.
+# The operator comes from the measurement's sidecar, the beta schedule is
+# DDPM's and the LS scale is derived from ||A||; these are the run's settings.
 RESTORE_OPTIONS = {
-    "measurement": (str, None, "measurement tensor (.pgt)"),
-    "sidecar": (str, None, "sidecar path (default <measurement>.meta)"),
+    "measurement": (str, None, "measurement tensor (.pgt); its sidecar is <measurement>.meta"),
     "output": (str, None, "restored tensor (.pgt)"),
     "method": (str, "ddpg", "idpg | idbp | pgm_ls | ddpg"),
     "denoiser": (str, "wiener", "identity | wiener | gauss[:kappa] | external:CMD"),
@@ -57,22 +58,18 @@ RESTORE_OPTIONS = {
     "zeta": (float, 0.5, "DDPG share of fresh noise, in [0, 1]"),
     "eta_tilde": (float, 0.7, "BP regularizer scale, eta = (2 sigma_e)^2 eta_tilde"),
     "T": (int, 100, "number of iterations"),
-    "beta_start": (float, 1e-4, "first beta of the linear schedule"),
-    "beta_end": (float, 0.02, "last beta of the linear schedule"),
     "seed": (int, 0, "DDPG random seed"),
     "step_size_policy": (str, "unit", "unit | ddim-ratio"),
     "export_image": (str, None, "8-bit image export path"),
-    "task": (str, None, "override the sidecar's task"),
-    "kernel": (str, None, "override the sidecar's kernel file"),
-    "scale": (int, None, "override the sidecar's scale"),
-    "mask": (str, None, "override the sidecar's mask file"),
 }
 
 # Keys a config file may hold besides a command's settings: the image shape
 # that degrade adds to its .meta sidecar, and retired settings, which old
-# echoed files still carry (the LS scale c is now derived from ||A||).
+# echoed files still carry: the LS scale c is now derived from ||A||, the
+# beta endpoints are DDPM's, and the sidecar path and the operator settings
+# are read from <measurement>.meta only.
 SIDECAR_SHAPE_KEYS = ("channels", "height", "width")
-RETIRED_KEYS = ("c",)
+RETIRED_KEYS = ("c", "beta_start", "beta_end", "sidecar", "task", "kernel", "scale", "mask")
 
 
 def _coerce(options: dict, key: str, value, source):
@@ -107,13 +104,16 @@ def _resolve(options: dict, config_path, flag_values: dict, echoed_keys=()) -> d
 
     A config key that is neither an option, one of ``echoed_keys`` nor a
     retired key is a validation error, so a misspelled key is not dropped.
+    An echoed key is returned as its raw string.
     """
     resolved = {key: default for key, (_, default, _) in options.items()}
     if config_path:
         for key, value in io.read_config(config_path).items():
             if key in options:
                 resolved[key] = _coerce(options, key, value, config_path)
-            elif key not in echoed_keys and key not in RETIRED_KEYS:
+            elif key in echoed_keys:
+                resolved[key] = value
+            elif key not in RETIRED_KEYS:
                 raise ValueError(f"{config_path}: unknown config key {key!r}")
     for key, value in flag_values.items():
         if key in options and value is not None:
@@ -131,19 +131,23 @@ def _require_file(path, what: str) -> Path:
 
 
 def _build_operator(cfg: dict, image_shape):
-    task = cfg.get("task")
+    """The operator that degrade's settings ``cfg`` describe; its errors name the file."""
+    task = cfg["task"]
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
-    if task == "deblur":
-        kernel = io.read_kernel(_require_file(cfg.get("kernel"), "kernel file"))
-        return CircularConvolution(kernel, image_shape)
-    if task == "sr":
-        kernel = io.read_kernel(_require_file(cfg.get("kernel"), "kernel file"))
-        if cfg.get("scale") is None:
-            raise ValueError("sr requires --scale")
-        return DownsampleConvolution(kernel, int(cfg["scale"]), image_shape)
-    mask = io.read_mask(_require_file(cfg.get("mask"), "mask file"))
-    return Mask(mask, image_shape)
+    if task == "sr" and cfg["scale"] is None:
+        raise ValueError("sr requires --scale")
+    key, read = ("mask", io.read_mask) if task == "inpaint" else ("kernel", io.read_kernel)
+    path = _require_file(cfg[key], f"{key} file")
+    grid = read(path)
+    try:
+        if task == "deblur":
+            return CircularConvolution(grid, image_shape)
+        if task == "sr":
+            return DownsampleConvolution(grid, cfg["scale"], image_shape)
+        return Mask(grid, image_shape)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _output_path(path, flag: str) -> Path:
@@ -159,7 +163,10 @@ def _output_path(path, flag: str) -> Path:
 def _read_source(path) -> np.ndarray:
     p = _require_file(path, "input image")
     data = io.read_tensor(p) if p.suffix == ".pgt" else io.read_image(p)
-    return as_image(data)
+    try:
+        return as_image(data)
+    except ValueError as exc:  # a .pgt may hold NaN or infinity
+        raise ValueError(f"{p}: {exc}") from None
 
 
 def _measurement_to_3d(y: np.ndarray) -> np.ndarray:
@@ -197,14 +204,10 @@ def cmd_restore(args) -> int:
     if cfg["export_image"]:
         _output_path(cfg["export_image"], "--export-image")
     meas_file = _require_file(cfg["measurement"], "measurement file")
-    sidecar_path = cfg["sidecar"] or str(meas_file) + ".meta"
-    sidecar = io.read_config(_require_file(sidecar_path, "measurement sidecar"))
-    for key in ("task", "kernel", "scale", "mask"):
-        if cfg.get(key) is None and key in sidecar:
-            cfg[key] = _coerce(RESTORE_OPTIONS, key, sidecar[key], sidecar_path)
-    if cfg["sigma_e"] is None:  # the sidecar is degrade's: its sigma_e is never None
-        cfg["sigma_e"] = _coerce(DEGRADE_OPTIONS, "sigma_e", sidecar.get("sigma_e", "0.0"),
-                                 sidecar_path)
+    sidecar_path = _require_file(str(meas_file) + ".meta", "measurement sidecar")
+    sidecar = _resolve(DEGRADE_OPTIONS, sidecar_path, {}, SIDECAR_SHAPE_KEYS)
+    if cfg["sigma_e"] is None:
+        cfg["sigma_e"] = sidecar["sigma_e"]
     missing = [key for key in SIDECAR_SHAPE_KEYS if key not in sidecar]
     if missing:
         raise ValueError(f"{sidecar_path}: sidecar lacks the image shape key(s) "
@@ -212,7 +215,7 @@ def cmd_restore(args) -> int:
     image_shape = tuple(_convert(int, key, sidecar[key], sidecar_path)
                         for key in SIDECAR_SHAPE_KEYS)
 
-    op = _build_operator(cfg, image_shape)
+    op = _build_operator(sidecar, image_shape)
     y = io.read_tensor(meas_file)
     if not np.isfinite(y).all():
         raise ValueError(f"{meas_file}: measurement contains non-finite values")
@@ -220,7 +223,7 @@ def cmd_restore(args) -> int:
     # Unit-range images: smooth default prior around a 0.5 gray mean.
     prior = WienerPrior(spectrum=WienerPrior.smooth_default(image_shape[1:]).spectrum, mean=0.5)
     denoiser = make_denoiser(cfg["denoiser"], prior)
-    schedule = make_ddpm_schedule(cfg["T"], cfg["beta_start"], cfg["beta_end"])
+    schedule = make_ddpm_schedule(cfg["T"])
     scheme = make_scheme_config(
         cfg["method"],
         schedule,
@@ -239,7 +242,7 @@ def cmd_restore(args) -> int:
     if cfg["export_image"]:
         io.write_image(cfg["export_image"], np.clip(x, 0.0, 1.0))
     echo = dict(cfg)
-    echo.update(measurement=str(meas_file), sidecar=str(sidecar_path), output=str(out))
+    echo.update(measurement=str(meas_file), output=str(out))
     io.write_config(str(out) + ".cfg", echo)
     print(
         f"wrote {out} (method={cfg['method']}, T={cfg['T']}, seed={cfg['seed']}, "
@@ -258,7 +261,7 @@ def cmd_eval(args) -> int:
         restored = io.read_tensor(_require_file(restored_path, "restored file"))
         reference = _read_source(reference_path)
         restored = np.clip(restored, 0.0, 1.0)
-        value_psnr = psnr(restored, reference, peak=args.peak)
+        value_psnr = psnr(restored, reference)
         value_mse = mse(restored, reference)
         psnrs.append(value_psnr)
         mses.append(value_mse)
@@ -306,10 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
         p_cmd.add_argument("--config", help="flat key=value config file")
         p_cmd.set_defaults(func=func)
 
-    p_eval = sub.add_parser("eval", help="PSNR/MSE of restored files against references")
+    p_eval = sub.add_parser("eval", help="PSNR (peak 1) and MSE of restored files")
     p_eval.add_argument("--restored", nargs="+", required=True)
     p_eval.add_argument("--reference", nargs="+", required=True)
-    p_eval.add_argument("--peak", type=float, default=1.0)
     p_eval.set_defaults(func=cmd_eval)
 
     p_ver = sub.add_parser("verify", help="run the numerical verification battery")

@@ -35,6 +35,9 @@ __all__ = [
     "make_denoiser",
 ]
 
+# Seconds one external denoiser call may take before the run fails.
+_EXTERNAL_TIMEOUT_S = 120.0
+
 
 class ExternalDenoiserError(RuntimeError):
     """An external denoiser command failed or produced malformed output."""
@@ -174,13 +177,12 @@ class ExternalDenoiser:
     Unique directories keep concurrent calls isolated.
     """
 
-    def __init__(self, cmd, timeout: float = 120.0):
+    def __init__(self, cmd):
         if isinstance(cmd, str):
             cmd = shlex.split(cmd)
         self.cmd = tuple(str(part) for part in cmd)
         if not self.cmd:
             raise ValueError("external denoiser command is empty")
-        self.timeout = timeout
 
     def __call__(self, x: np.ndarray, sigma: float) -> np.ndarray:
         import subprocess  # only here: a worker that imports this module never spawns
@@ -194,12 +196,13 @@ class ExternalDenoiser:
             argv = list(self.cmd) + [str(in_path), str(out_path), repr(float(sigma))]
             try:
                 proc = subprocess.run(
-                    argv, capture_output=True, text=True, timeout=self.timeout
+                    argv, capture_output=True, text=True, timeout=_EXTERNAL_TIMEOUT_S
                 )
             except OSError as exc:
                 raise ExternalDenoiserError(f"could not launch {argv[0]!r}: {exc}") from exc
             except subprocess.TimeoutExpired as exc:
-                raise ExternalDenoiserError(f"{argv[0]!r} timed out after {self.timeout}s") from exc
+                raise ExternalDenoiserError(
+                    f"{argv[0]!r} timed out after {_EXTERNAL_TIMEOUT_S}s") from exc
             if proc.returncode != 0:
                 raise ExternalDenoiserError(
                     f"{argv[0]!r} exited with status {proc.returncode}; "

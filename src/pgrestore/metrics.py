@@ -22,6 +22,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.sigma_e < math.inf:
             raise ValueError(f"sigma_e must be nonnegative and finite, got {self.sigma_e}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def degrade(op: LinearOperator, x_star: np.ndarray, noise: NoiseSpec) -> np.ndarray:
@@ -44,15 +46,13 @@ def mse(x: np.ndarray, ref: np.ndarray) -> float:
     return float(np.mean((x - ref) ** 2))
 
 
-def psnr(x: np.ndarray, ref: np.ndarray, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / MSE) in dB; identical inputs give math.inf.
+def psnr(x: np.ndarray, ref: np.ndarray) -> float:
+    """10 log10(1 / MSE) in dB, the peak of unit-range images; identical inputs give math.inf.
 
     No clamping is applied here; callers that want the usual [0, 1]
     evaluation convention clamp before calling.
     """
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
     err = mse(x, ref)
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak**2 / err)
+    return 10.0 * math.log10(1.0 / err)

@@ -110,13 +110,11 @@ class DiffusionSchedule:
         return len(self.beta)
 
 
-def make_ddpm_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> DiffusionSchedule:
-    """Linearly spaced beta schedule (inclusive endpoints)."""
+def make_ddpm_schedule(T: int) -> DiffusionSchedule:
+    """DDPM's T linearly spaced betas, 1e-4 to 0.02; build others with ``DiffusionSchedule``."""
     if T < 1:
         raise ValueError(f"T must be at least 1, got {T}")
-    if not 0 < beta_start <= beta_end < 1:
-        raise ValueError(f"need 0 < beta_start <= beta_end < 1, got {(beta_start, beta_end)}")
-    return DiffusionSchedule(beta=np.linspace(beta_start, beta_end, T))
+    return DiffusionSchedule(beta=np.linspace(1e-4, 0.02, T))
 
 
 def eps_effective(x_t: np.ndarray, x_clean: np.ndarray, alpha_bar_t: float) -> np.ndarray:
@@ -178,6 +176,8 @@ class SchemeConfig:
             raise ValueError("pgm_ls requires delta identically 1")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError(f"zeta must lie in [0, 1], got {self.zeta}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def T(self) -> int:
@@ -191,7 +191,6 @@ def make_scheme_config(
     *,
     gamma: float = 8.0,
     eta_tilde: float = 0.7,
-    eta: float | None = None,
     zeta: float = 0.5,
     seed: int = 0,
     step_size_policy: str = "unit",
@@ -200,8 +199,8 @@ def make_scheme_config(
 
     idpg/ddpg mix BP and LS with delta_t = alpha_bar_t ** gamma when
     sigma_e > 0 (delta = 0, w = 1 otherwise); idbp pins delta = 0 and
-    pgm_ls pins delta = 1. The BP regularizer defaults to the noise
-    scaling max(1e-4, (2 sigma_e)^2 eta_tilde) unless ``eta`` is given.
+    pgm_ls pins delta = 1. The BP regularizer is the noise scaling
+    max(1e-4, (2 sigma_e)^2 eta_tilde).
     """
     T = schedule.T
     if method == "idbp":
@@ -212,12 +211,10 @@ def make_scheme_config(
         delta, w = delta_schedule(schedule.alpha_bar[1:], gamma, sigma_e)
     else:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if eta is None:
-        eta = eta_from_noise(sigma_e, eta_tilde)
     return SchemeConfig(
         method=method,
         schedule=schedule,
-        eta=float(eta),
+        eta=float(eta_from_noise(sigma_e, eta_tilde)),
         mu=mu_schedule(schedule.alpha_bar, step_size_policy),
         delta=delta,
         w=w,

@@ -109,26 +109,17 @@ class TikhonovProblem:
         return self.a_matrix.shape
 
 
-def random_conforming_problem(
-    rng: np.random.Generator,
-    m: int | None = None,
-    n: int | None = None,
-    delta: float | None = None,
-    sigma_e: float | None = None,
-) -> TikhonovProblem:
+def random_conforming_problem(rng: np.random.Generator) -> TikhonovProblem:
     """Draw an instance satisfying the theorem assumptions by construction.
 
-    A = U diag(lambda) V^T with random orthogonal factors and singular
-    values uniform in [0.1, 1] (resampled until they spread by at least
-    0.05); D = V diag(gamma) V^T with gamma uniform in [0.5, 2], so
-    D^T D shares A's right eigenbasis and is positive definite.
+    A is m x n with m uniform in [3, 8] and n in [m, 12]: A = U
+    diag(lambda) V^T with random orthogonal factors and singular values
+    uniform in [0.1, 1] (resampled until they spread by at least 0.05);
+    D = V diag(gamma) V^T with gamma uniform in [0.5, 2], so D^T D shares
+    A's right eigenbasis and is positive definite.
     """
-    if m is None:
-        m = int(rng.integers(3, 9))
-    if n is None:
-        n = int(rng.integers(m, 13))
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got {(m, n)}")
+    m = int(rng.integers(3, 9))
+    n = int(rng.integers(m, 13))
     u, _ = np.linalg.qr(rng.standard_normal((m, m)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lam = rng.uniform(0.1, 1.0, size=m)
@@ -141,9 +132,9 @@ def random_conforming_problem(
         a_matrix=a,
         d_matrix=d,
         beta_prior=float(rng.uniform(0.1, 1.0)),
-        sigma_e=float(rng.uniform(0.02, 0.3)) if sigma_e is None else float(sigma_e),
+        sigma_e=float(rng.uniform(0.02, 0.3)),
         x_star=rng.standard_normal(n),
-        delta=float(rng.uniform(0.1, 0.9)) if delta is None else float(delta),
+        delta=float(rng.uniform(0.1, 0.9)),
     )
 
 
@@ -567,15 +558,10 @@ def claim4_check(n_instances: int = 50) -> CheckResult:
     )
 
 
-def theorem1_check(
-    n_instances: int = 100,
-    mc_draws: int = 20000,
-    mc_instances: int | None = None,
-) -> CheckResult:
-    """Strict orderings on every conforming instance, plus Monte-Carlo
-    agreement of the closed forms within 3 standard errors."""
-    if mc_instances is None:
-        mc_instances = n_instances
+def theorem1_check() -> CheckResult:
+    """Strict orderings on each of 100 conforming instances, plus Monte-Carlo
+    agreement of the closed forms within 3 standard errors (20000 draws)."""
+    n_instances, mc_draws = 100, 20000
     worst_z = 0.0
     start = time.perf_counter()
     for i in range(n_instances):
@@ -587,26 +573,25 @@ def theorem1_check(
                 "theorem1", False,
                 f"ordering violated at instance seed {seed}: {report}",
             )
-        if i < mc_instances:
-            for mode in _MODES:
-                closed_b2, closed_v = bias_variance_closed_form(p, mode)
-                mc = mc_bias_variance(p, mode, n_draws=mc_draws, seed=seed + 7919)
-                z_b = abs(mc.bias_sq - closed_b2) / mc.se_bias_sq
-                z_v = abs(mc.var - closed_v) / mc.se_var
-                z_mse = abs(mc.mse - (closed_b2 + closed_v)) / mc.se_mse
-                worst_z = max(worst_z, z_b, z_v, z_mse)
-                if max(z_b, z_v, z_mse) > 3.0:
-                    return CheckResult(
-                        "theorem1", False,
-                        f"Monte-Carlo disagreement at instance seed {seed} "
-                        f"({mode}): z-scores bias {z_b:.2f}, var {z_v:.2f}, "
-                        f"mse {z_mse:.2f}",
-                    )
+        for mode in _MODES:
+            closed_b2, closed_v = bias_variance_closed_form(p, mode)
+            mc = mc_bias_variance(p, mode, n_draws=mc_draws, seed=seed + 7919)
+            z_b = abs(mc.bias_sq - closed_b2) / mc.se_bias_sq
+            z_v = abs(mc.var - closed_v) / mc.se_var
+            z_mse = abs(mc.mse - (closed_b2 + closed_v)) / mc.se_mse
+            worst_z = max(worst_z, z_b, z_v, z_mse)
+            if max(z_b, z_v, z_mse) > 3.0:
+                return CheckResult(
+                    "theorem1", False,
+                    f"Monte-Carlo disagreement at instance seed {seed} "
+                    f"({mode}): z-scores bias {z_b:.2f}, var {z_v:.2f}, "
+                    f"mse {z_mse:.2f}",
+                )
     elapsed = time.perf_counter() - start
     return CheckResult(
         "theorem1", True,
         f"orderings {n_instances}/{n_instances}, Monte-Carlo agreement on "
-        f"{min(mc_instances, n_instances)} instances x 3 modes "
+        f"{n_instances} instances x 3 modes "
         f"(worst |z| = {worst_z:.2f}, {mc_draws} draws, {elapsed:.1f}s)",
     )
 

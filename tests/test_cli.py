@@ -54,11 +54,14 @@ class TestSurface:
 
     def test_restore_flags(self):
         assert subcommand_flags("restore") == {
-            "-h", "--help", "--measurement", "--sidecar", "--output", "--method", "--denoiser",
-            "--task", "--kernel", "--scale", "--mask", "--sigma-e", "--gamma", "--zeta",
-            "--eta-tilde", "--T", "--beta-start", "--beta-end", "--seed",
+            "-h", "--help", "--measurement", "--output", "--method", "--denoiser",
+            "--sigma-e", "--gamma", "--zeta", "--eta-tilde", "--T", "--seed",
             "--step-size-policy", "--export-image", "--config",
         }
+        assert list(cli.RESTORE_OPTIONS) == [
+            "measurement", "output", "method", "denoiser", "sigma_e", "gamma", "zeta",
+            "eta_tilde", "T", "seed", "step_size_policy", "export_image",
+        ]
 
     def test_verify_flags(self):
         assert subcommand_flags("verify") == {"-h", "--help", "--claims"}
@@ -180,6 +183,28 @@ class TestDegrade:
         assert "no nonzero tap" in capsys.readouterr().err
         assert not (workspace / "y.pgt").exists()
 
+    @pytest.mark.parametrize("task,grid,message", [
+        ("deblur", np.ones((4, 4)) / 16, "kernel sides must be odd"),
+        ("deblur", np.ones((17, 17)) / 289, "larger than grid"),
+        ("deblur", np.zeros((3, 3)), "no nonzero tap"),
+        ("inpaint", np.ones((8, 8), dtype=bool), "does not match image"),
+        ("inpaint", np.zeros((16, 16), dtype=bool), "keeps no pixels"),
+        ("inpaint", np.zeros((0, 0), dtype=bool), "does not match image"),
+    ], ids=["even-kernel", "kernel-17", "zero-kernel", "mask-8", "zero-mask", "empty-mask"])
+    def test_operator_error_names_its_file(self, workspace, capsys, task, grid, message):
+        if task == "deblur":
+            path, flags = workspace / "k.txt", ["--kernel", str(workspace / "k.txt")]
+            io.write_kernel(path, grid)
+        else:
+            path, flags = workspace / "m.txt", ["--mask", str(workspace / "m.txt")]
+            io.write_mask(path, grid)
+        code = main(["degrade", "--input", str(workspace / "source.pgm"),
+                     "--output", str(workspace / "y.pgt"), "--task", task, *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err and message in err
+        assert not (workspace / "y.pgt").exists()
+
 
 class TestRestore:
     def degrade_identity(self, workspace):
@@ -212,27 +237,17 @@ class TestRestore:
 
     def test_missing_kernel_exit_code_names_path(self, workspace, capsys):
         self.degrade_identity(workspace)
+        meta = io.read_config(workspace / "y.pgt.meta")
+        io.write_config(workspace / "y.pgt.meta",
+                        {**meta, "kernel": str(workspace / "missing_kernel.txt")})
         code = main([
             "restore", "--measurement", str(workspace / "y.pgt"),
             "--output", str(workspace / "x.pgt"),
-            "--kernel", str(workspace / "missing_kernel.txt"),
             "--method", "idbp", "--denoiser", "identity", "--T", "4",
         ])
         assert code == 2
-        assert "missing_kernel.txt" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("method", ["idbp", "idpg", "ddpg"])
-    def test_beta_end_one_is_validation_error(self, workspace, capsys, method):
-        # alpha_bar_T = 0 would hand the denoiser sigma_T = inf
-        self.degrade_identity(workspace)
-        code = main([
-            "restore", "--measurement", str(workspace / "y.pgt"),
-            "--output", str(workspace / "x.pgt"),
-            "--method", method, "--denoiser", "wiener", "--T", "4", "--beta-end", "1",
-        ])
-        assert code == 2
-        assert "beta" in capsys.readouterr().err
-        assert not (workspace / "x.pgt").exists()
+        err = capsys.readouterr().err
+        assert "kernel file not found" in err and "missing_kernel.txt" in err
 
     def test_idbp_equals_idpg_when_noiseless(self, workspace):
         self.degrade_identity(workspace)
@@ -265,12 +280,61 @@ class TestRestore:
         code = main(["restore", "--config", str(workspace / "x.pgt.cfg")])
         assert code == 0
         assert file_hash(workspace / "x.pgt") == first
-        # a config from when the LS scale was a setting still reproduces: the
-        # retired key is accepted, and a unit-sum blur derives c = 1 exactly
-        io.write_config(workspace / "old.cfg", {**echoed, "c": "1.0"})
+        # a config echoed before the LS scale, the beta endpoints, the sidecar
+        # path and the operator settings retired still reproduces: each key is
+        # accepted and ignored, and a unit-sum blur derives c = 1 exactly
+        retired = {"sidecar": str(workspace / "y.pgt.meta"), "beta_start": "0.0001",
+                   "beta_end": "0.02", "task": "deblur", "kernel": str(workspace / "gauss.txt"),
+                   "scale": "None", "mask": "None", "c": "1.0"}
+        assert set(retired) == set(cli.RETIRED_KEYS)
+        io.write_config(workspace / "old.cfg", {**echoed, **retired})
         (workspace / "x.pgt").unlink()
         assert main(["restore", "--config", str(workspace / "old.cfg")]) == 0
         assert file_hash(workspace / "x.pgt") == first
+
+    def test_unknown_sidecar_key_names_key_and_sidecar(self, workspace, capsys):
+        self.degrade_identity(workspace)
+        meta = io.read_config(workspace / "y.pgt.meta")
+        io.write_config(workspace / "y.pgt.meta", {**meta, "sigma": "0.1"})
+        capsys.readouterr()
+        code = main(["restore", "--measurement", str(workspace / "y.pgt"),
+                     "--output", str(workspace / "x.pgt"), "--method", "idpg", "--T", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'sigma'" in err and "y.pgt.meta" in err
+        assert not (workspace / "x.pgt").exists()
+
+    def test_operator_error_names_the_sidecars_file(self, workspace, capsys):
+        self.degrade_identity(workspace)
+        io.write_kernel(workspace / "even.txt", np.ones((2, 2)) / 4)
+        meta = io.read_config(workspace / "y.pgt.meta")
+        io.write_config(workspace / "y.pgt.meta", {**meta, "kernel": str(workspace / "even.txt")})
+        capsys.readouterr()
+        code = main(["restore", "--measurement", str(workspace / "y.pgt"),
+                     "--output", str(workspace / "x.pgt"), "--method", "idpg", "--T", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {workspace / 'even.txt'}: kernel sides must be odd" in err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("restore", ["--method", "ddpg"]),
+        ("restore", ["--method", "idpg"]),
+        ("degrade", ["--sigma-e", "0.05"]),
+        ("degrade", []),
+    ], ids=["restore-ddpg", "restore-idpg", "degrade-noisy", "degrade-noiseless"])
+    def test_negative_seed_names_key(self, workspace, capsys, command, flags):
+        # numpy rejected it only where it drew, naming no key; elsewhere it was echoed
+        self.degrade_identity(workspace)
+        paths = {
+            "restore": ["--measurement", str(workspace / "y.pgt"), "--T", "4"],
+            "degrade": ["--input", str(workspace / "source.pgm"), "--task", "deblur",
+                        "--kernel", str(workspace / "delta.txt")],
+        }[command]
+        out = workspace / "out.pgt"
+        capsys.readouterr()
+        assert main([command, *paths, *flags, "--seed", "-1", "--output", str(out)]) == 2
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_misspelled_config_key_is_validation_error(self, workspace, capsys):
         self.degrade_identity(workspace)
@@ -375,7 +439,7 @@ class TestRestore:
 
     @pytest.mark.parametrize("where,key", [
         *(("restore", key) for key in
-          ("T", "gamma", "seed", "zeta", "eta_tilde", "beta_start", "denoiser")),
+          ("T", "gamma", "seed", "zeta", "eta_tilde", "denoiser")),
         ("degrade", "sigma_e"),
         ("sidecar", "sigma_e"),
     ])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -356,7 +357,8 @@ class TestGuidedStep:
         dense = DenseOperator(operator_matrix(op), op.input_shape, op.output_shape)
         prior = WienerPrior.smooth_default((12, 12), amplitude=16.0)
         y = op.apply(prior.sample(np.random.default_rng(5)))
-        cfg = make_scheme_config("ddpg", make_ddpm_schedule(8), 0.05, gamma=0.0, eta=0.0, seed=6)
+        cfg = dataclasses.replace(
+            make_scheme_config("ddpg", make_ddpm_schedule(8), 0.05, gamma=0.0, seed=6), eta=0.0)
         assert np.all(cfg.delta == 1.0)
         x, trace = run_scheme(WienerMMSE(prior), op, y, cfg)
         expected_x, expected_trace = run_scheme(WienerMMSE(prior), dense, y, cfg)

@@ -40,6 +40,11 @@ class TestDegrade:
         with pytest.raises(ValueError):
             NoiseSpec(-0.1)
 
+    def test_negative_seed_rejected(self):
+        # numpy rejects it only when noise is drawn, and names no setting
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            NoiseSpec(0.0, seed=-1)
+
     @pytest.mark.parametrize("sigma_e", [math.nan, math.inf])
     def test_non_finite_sigma_rejected(self, sigma_e):
         # NaN passes a bare `sigma_e < 0`, and degrade then adds no noise
@@ -73,9 +78,10 @@ class TestPSNR:
         assert psnr(x + c, ref + c) == pytest.approx(psnr(x, ref), rel=1e-9)
 
     def test_peak_validation_and_shape_mismatch(self, rng):
+        # the peak is 1, the range of unit-range images, and not a setting
         x = rng.random(SHAPE)
-        with pytest.raises(ValueError):
-            psnr(x, x, peak=0.0)
+        with pytest.raises(TypeError):
+            psnr(x, x, peak=255.0)
         with pytest.raises(ShapeMismatchError):
             psnr(x, rng.random((1, 10, 11)))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 
@@ -38,8 +39,8 @@ def blur_setup(seed=0, sigma_e=0.05, shape=SHAPE, amplitude=1.0):
 
 class TestSchedule:
     def test_single_step(self):
-        sched = make_ddpm_schedule(1, 0.02, 0.02)
-        np.testing.assert_allclose(sched.alpha_bar, [1.0, 0.98], atol=1e-15)
+        sched = make_ddpm_schedule(1)  # linspace's one value is the first beta
+        np.testing.assert_allclose(sched.alpha_bar, [1.0, 1.0 - 1e-4], atol=1e-15)
 
     def test_defaults_strictly_decreasing(self):
         sched = make_ddpm_schedule(100)
@@ -49,20 +50,13 @@ class TestSchedule:
         assert sched.beta[0] == pytest.approx(1e-4) and sched.beta[-1] == pytest.approx(0.02)
 
     def test_constant_beta_products(self):
-        sched = make_ddpm_schedule(2, 0.5, 0.5)
+        sched = DiffusionSchedule(beta=[0.5, 0.5])
         np.testing.assert_allclose(sched.alpha_bar, [1.0, 0.5, 0.25], atol=1e-15)
 
     def test_invalid_ranges(self):
-        with pytest.raises(ValueError):
-            make_ddpm_schedule(0)
-        with pytest.raises(ValueError):
-            make_ddpm_schedule(10, 0.0, 0.02)
-        with pytest.raises(ValueError):
-            make_ddpm_schedule(10, 0.05, 0.02)
-        with pytest.raises(ValueError):
-            make_ddpm_schedule(10, 0.5, 1.5)
-        with pytest.raises(ValueError, match="beta_end < 1"):
-            make_ddpm_schedule(10, 0.01, 1.0)
+        for T in (0, -3):
+            with pytest.raises(ValueError, match="T must be at least 1"):
+                make_ddpm_schedule(T)
 
     def test_alpha_bar_derived_from_beta(self):
         beta = np.array([0.1, 0.2])
@@ -154,6 +148,7 @@ class TestSchemeConfig:
             (dict(w=np.ones(4)), "w must have shape"),
             (dict(delta=np.array([0.1, 0.5, 0.9])), "non-increasing"),  # increasing in t
             (dict(delta=np.array([1.5, 0.5, 0.1])), r"\[0, 1\]"),
+            (dict(seed=-1), "seed must be nonnegative"),
         ):
             with pytest.raises(ValueError, match=message):
                 SchemeConfig(**{**good, **bad})
@@ -179,7 +174,7 @@ class TestIDPG:
         # A = I, delta = 0, eta = 0: the BP step lands on y at every iteration
         op = CircularConvolution(delta_kernel(1), SHAPE)
         y = rng.standard_normal(SHAPE)
-        cfg = make_scheme_config("idbp", make_ddpm_schedule(6), 0.0, eta=0.0)
+        cfg = dataclasses.replace(make_scheme_config("idbp", make_ddpm_schedule(6), 0.0), eta=0.0)
         x, trace = idpg_run(Identity(), op, y, cfg)
         np.testing.assert_allclose(x, y, atol=1e-12)
         # after the first step every denoised iterate already satisfies Ax = y
@@ -188,7 +183,7 @@ class TestIDPG:
 
     def test_oracle_denoiser_returns_truth(self):
         op, _, x_star, y = blur_setup(seed=3, sigma_e=0.0)
-        cfg = make_scheme_config("idpg", make_ddpm_schedule(8), 0.0, eta=0.0)
+        cfg = dataclasses.replace(make_scheme_config("idpg", make_ddpm_schedule(8), 0.0), eta=0.0)
         x, trace = idpg_run(lambda x, sigma: x_star, op, y, cfg)
         np.testing.assert_allclose(x, x_star, atol=1e-10)
         assert np.all(trace.residual <= 1e-10)
@@ -240,7 +235,8 @@ class TestIDPG:
         # full-rank square operator, eta = 0: every guided iterate fits y
         op, prior, x_star, _ = blur_setup(seed=11, sigma_e=0.0)
         y = op.apply(x_star)
-        cfg = make_scheme_config("idbp", make_ddpm_schedule(10), 0.0, eta=0.0)
+        cfg = dataclasses.replace(make_scheme_config("idbp", make_ddpm_schedule(10), 0.0),
+                                  eta=0.0)
         _, trace = idpg_run(WienerMMSE(prior), op, y, cfg)
         assert np.all(trace.residual_after <= 1e-8 * np.linalg.norm(y))
 
@@ -487,7 +483,8 @@ class TestDDPG:
     def test_identity_noiseless_returns_measurement(self, rng):
         op = CircularConvolution(delta_kernel(1), SHAPE)
         y = rng.standard_normal(SHAPE)
-        cfg = make_scheme_config("ddpg", make_ddpm_schedule(6), 0.0, eta=0.0, seed=4)
+        cfg = dataclasses.replace(make_scheme_config("ddpg", make_ddpm_schedule(6), 0.0, seed=4),
+                                  eta=0.0)
         x, _ = ddpg_run(Identity(), op, y, cfg)
         np.testing.assert_allclose(x, y, atol=1e-12)
 
