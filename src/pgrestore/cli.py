@@ -31,6 +31,13 @@ from .schemes import make_ddpm_schedule, make_scheme_config, run_scheme
 
 TASKS = ("deblur", "sr", "inpaint")
 
+
+def denoiser_spec(spec: str) -> str:
+    """``spec`` if ``make_denoiser`` accepts it: a restore's prior is bound later."""
+    make_denoiser(spec, None)
+    return spec
+
+
 # One table per command, key -> (type, default, help). Each key is both a
 # flag (--key, underscores as dashes) and a config-file key, and the table
 # order is the key order of the echoed .meta/.cfg files. Values are checked
@@ -52,7 +59,7 @@ RESTORE_OPTIONS = {
     "measurement": (str, None, "measurement tensor (.pgt); its sidecar is <measurement>.meta"),
     "output": (str, None, "restored tensor (.pgt)"),
     "method": (str, "ddpg", "idpg | idbp | pgm_ls | ddpg"),
-    "denoiser": (str, "wiener", "identity | wiener | gauss[:kappa] | external:CMD"),
+    "denoiser": (denoiser_spec, "wiener", "identity | wiener | gauss[:kappa] | external:CMD"),
     "sigma_e": (float, None, "noise level (default: the sidecar's)"),
     "gamma": (float, 8.0, "BP-to-LS mix exponent, delta_t = alpha_bar_t ** gamma"),
     "zeta": (float, 0.5, "DDPG share of fresh noise, in [0, 1]"),
@@ -259,6 +266,8 @@ def cmd_eval(args) -> int:
     psnrs, mses = [], []
     for restored_path, reference_path in zip(args.restored, args.reference):
         restored = io.read_tensor(_require_file(restored_path, "restored file"))
+        if not np.isfinite(restored).all():
+            raise ValueError(f"{restored_path}: restored tensor contains non-finite values")
         reference = _read_source(reference_path)
         restored = np.clip(restored, 0.0, 1.0)
         value_psnr = psnr(restored, reference)

@@ -7,8 +7,8 @@ so every claim about the pipeline can be checked in closed form. A
 denoiser is any callable ``(x, sigma) -> x_estimate``; the classes here
 are thread-safe callables. Only ``WienerMMSE`` keeps mutable state: a
 half-spectrum work array for each calling thread, so that concurrent
-callers share nothing they write. The
-external adapter isolates each call in its own temporary workspace.
+callers share nothing they write. The external adapter isolates each
+call in its own temporary workspace.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class GaussianSmooth:
     """
 
     def __init__(self, kappa: float = 1.0):
-        if kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {kappa}")
+        if not 0 < kappa < np.inf:
+            raise ValueError(f"kappa must be positive and finite, got {kappa}")
         self.kappa = float(kappa)
 
     def __call__(self, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -82,10 +82,10 @@ class WienerPrior:
     """Stationary Gaussian image prior: a power spectrum and a mean image.
 
     ``spectrum`` is a nonnegative (height, width) array over the full FFT
-    frequency grid and must be symmetric under frequency negation so
-    that sampled images are real. ``mean`` may be a scalar or an image.
-    The symmetry makes the rfft2 half grid (``width//2 + 1`` columns)
-    enough to filter with; ``half_spectrum`` holds it, sliced once.
+    grid, symmetric under frequency negation so that samples are real,
+    which makes its rfft2 half (``width//2 + 1`` columns, kept sliced as
+    ``half_spectrum``) enough to filter with. ``mean`` is a float array
+    that broadcasts to (height, width) or to (channels, height, width).
     """
 
     spectrum: np.ndarray
@@ -99,13 +99,17 @@ class WienerPrior:
             raise ValueError("spectrum must be a 2-D array")
         if np.any(spec < 0) or not np.isfinite(spec).all():
             raise ValueError("spectrum must be finite and nonnegative")
-        flipped = spec[tuple(np.meshgrid(-np.arange(spec.shape[0]) % spec.shape[0],
-                                         -np.arange(spec.shape[1]) % spec.shape[1],
-                                         indexing="ij"))]
+        flipped = np.roll(spec[::-1, ::-1], 1, axis=(0, 1))  # spec at -f
         if not np.allclose(spec, flipped, rtol=1e-10, atol=1e-12):
             raise ValueError("spectrum must be symmetric under frequency negation")
         object.__setattr__(self, "half_spectrum",
                            np.ascontiguousarray(spec[:, : spec.shape[1] // 2 + 1]))
+        mean = np.asarray(self.mean, dtype=float)
+        object.__setattr__(self, "mean", mean)
+        if (mean.ndim > 3 or not np.isfinite(mean).all()
+                or any(m not in (1, n) for m, n in zip(mean.shape[::-1], spec.shape[::-1]))):
+            raise ValueError(f"mean of shape {mean.shape} must be finite and broadcast to "
+                             "(height, width) or (channels, height, width)")
 
     @staticmethod
     def smooth_default(shape, amplitude: float = 1.0) -> "WienerPrior":
@@ -116,26 +120,23 @@ class WienerPrior:
         spectrum = amplitude / (1.0 + fy[:, None] ** 2 + fx[None, :] ** 2)
         return WienerPrior(spectrum=spectrum)
 
-    def mean_image(self, channels: int) -> np.ndarray:
-        shape = (channels,) + self.spectrum.shape
-        return np.broadcast_to(np.asarray(self.mean, dtype=float), shape)
-
     def sample(self, rng: np.random.Generator, channels: int = 1) -> np.ndarray:
         """Draw an image from the prior (spectral coloring of white noise)."""
         white = rng.standard_normal((channels,) + self.spectrum.shape)
-        return self.mean_image(channels) + fourier_filter(white, np.sqrt(self.half_spectrum))
+        out = fourier_filter(white, np.sqrt(self.half_spectrum))
+        return np.add(out, self.mean, out=out)
 
 
 class WienerMMSE:
     """Exact posterior-mean denoiser under a :class:`WienerPrior`.
 
     Per frequency f of the half spectrum: mean(f) + p(f) / (p(f) + sigma^2)
-    * (x(f) - mean(f)). sigma = 0 returns the input untouched. x - mean is
-    filtered in place, in the array that is returned, through a spectrum
-    work array that each calling thread keeps for its channel count, so
-    that a call allocates only its output and the shrink weights (half an
-    image, made afresh: kept as well, they raised a 256^2 benchmark's peak
-    resident memory by 1.5 MB).
+    * (x(f) - mean(f)). sigma = 0 returns the input untouched. x - mean, the
+    mean broadcast, is filtered in place, in the array that is returned,
+    through a spectrum work array that each calling thread keeps for its
+    channel count, so that a call allocates only its output and the shrink
+    weights (half an image, made afresh: kept as well, they raised a 256^2
+    benchmark's peak resident memory by 1.5 MB).
     """
 
     def __init__(self, prior: WienerPrior):
@@ -154,10 +155,9 @@ class WienerMMSE:
         half = prior.half_spectrum
         shrink = half + sigma**2
         np.divide(half, shrink, out=shrink)
-        mean = prior.mean_image(x.shape[0])
-        out = np.subtract(x, mean)
+        out = np.subtract(x, prior.mean, out=np.empty(x.shape))
         fourier_filter(out, shrink, out=out, spectrum=self._spectrum((x.shape[0],) + half.shape))
-        out += mean
+        out += prior.mean
         return out
 
     def _spectrum(self, shape):

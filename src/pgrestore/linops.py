@@ -25,8 +25,8 @@ step of :func:`pgrestore.guidance.guide` for one measurement (the base class
 calls ``guide``). ``DownsampleConvolution`` forms it on the coarse half
 spectrum with one rfft2 and one inverse, in work arrays that the step owns
 for the run (the fine spectrum, the fold arrays, the weights, |R|^2 and
-the residual factor), so that a call allocates only the image it returns; ``Mask`` on the image grid, with a scalar weighting and no
-transform.
+the residual factor), so that a call allocates only the image it returns;
+``Mask`` on the image grid, with a scalar weighting and no transform.
 
 Boundary handling is circular everywhere. Operators act channel-wise on
 (channels, height, width) arrays, are immutable after construction, and
@@ -169,16 +169,6 @@ def _full_width(half: np.ndarray, full: np.ndarray) -> np.ndarray:
     full[..., :1, k:] = tail[..., :1, :]
     full[..., 1:, k:] = tail[..., :0:-1, :]
     return full
-
-
-def _half_sum(a: np.ndarray, width: int) -> float:
-    """Full-grid sum of a Hermitian-symmetric array given on its rfft2 half.
-
-    Columns 1 .. (width - 1) // 2 stand for two frequencies each, the rest
-    for one. Their extra share is summed row by row: one sum over the
-    strided columns would make numpy copy them into a buffer of up to 64 KiB.
-    """
-    return float(a.sum() + a[..., 1:(width + 1) // 2].sum(axis=-1).sum())
 
 
 def _check_invertible(gram_spectrum: np.ndarray, eta: float) -> None:
@@ -325,24 +315,26 @@ class DownsampleConvolution(LinearOperator):
         delta, eta, c, mu)`` up to rounding. With R = fold(H F(x0)) / s^2
         - F(y), where fold sums each alias group, the weighting W is the
         per-frequency weight (1 - delta)/(G + eta) + delta c, the residual
-        after the step is R - mu G W R, and both objectives and residuals
-        follow by Parseval. Everything lives on the rfft2 half grid, so a
-        call takes one rfft2 and one inverse (``irfft2_into``); for s > 1
-        the fold and its adjoint pass through the full coarse width by
+        after the step is (1 - mu G W) R, and both objectives and residuals
+        follow by Parseval: |R|^2, weighted once by each half-grid column's
+        multiplicity over the coarse grid size, gives each of the four
+        numbers as one sum, the two after the step with (1 - mu G W)^2
+        applied to it. Everything lives on the rfft2 half grid, so a call
+        takes one rfft2 and one inverse (``irfft2_into``); for s > 1 the
+        fold and its adjoint pass through the full coarse width by
         Hermitian symmetry.
 
         The step owns its work arrays, made here once per run, so that a
         call allocates only the x it returns: the fine half spectrum; for
         s > 1 the row fold, its full-width extension (whose first coarse
         width also holds the unfold) and the coarse residual; the mixed
-        weights, |R|^2 and the residual factor. A step therefore serves one
-        run in one thread. Nothing is checked here, as in
-        ``LinearOperator.guided_step``.
+        weights, the column multiplicities, |R|^2 and the residual factor.
+        A step therefore serves one run in one thread. Nothing is checked
+        here, as in ``LinearOperator.guided_step``.
         """
         s = self.scale
         channels, h, w = self.input_shape
         hc, wc = h // s, w // s
-        size = hc * wc
         half, coarse_half = w // 2 + 1, wc // 2 + 1
         response, gram = self._response, self._gram_response
         y_hat = np.fft.rfft2(y, axes=(-2, -1))
@@ -354,6 +346,9 @@ class DownsampleConvolution(LinearOperator):
         else:
             residual = spectrum
         power, factor = np.empty(residual.shape), np.empty(residual.shape)
+        # Parseval's weights: half-grid columns 1 .. (wc - 1) // 2 stand for two frequencies.
+        multiplicity = np.full(coarse_half, 1.0 / (hc * wc))
+        multiplicity[1:(wc + 1) // 2] *= 2.0
         inverse = mixed = None
 
         def weight(delta):
@@ -370,12 +365,6 @@ class DownsampleConvolution(LinearOperator):
             mixed += delta * c
             return mixed
 
-        def data_term(weights):
-            # Consumes power, which holds |R|^2 on the half grid.
-            residual_norm = float(np.sqrt(_half_sum(power, wc) / size))
-            np.multiply(power, weights, out=power)
-            return [0.5 * _half_sum(power, wc) / size, residual_norm]
-
         def step(x0, delta, mu):
             np.fft.rfft2(x0, axes=(-2, -1), out=spectrum)
             np.multiply(spectrum, response, out=spectrum)
@@ -389,17 +378,17 @@ class DownsampleConvolution(LinearOperator):
             np.square(residual.real, out=power)
             np.square(residual.imag, out=factor)
             np.add(power, factor, out=power)
-            numbers = data_term(weights)
-            # |R - mu G W R|^2, the residual after the step, one part at a time
+            np.multiply(power, multiplicity, out=power)
+            np.multiply(power, weights, out=factor)
+            objective, residual_sq = float(factor.sum()), float(power.sum())
+            # |R - mu G W R|^2 = (1 - mu G W)^2 |R|^2, the residual after the step
             np.multiply(gram, mu, out=factor)
             np.multiply(factor, weights, out=factor)
             np.subtract(1.0, factor, out=factor)
-            np.multiply(residual.real, factor, out=power)
-            np.square(power, out=power)
-            np.multiply(residual.imag, factor, out=factor)
             np.square(factor, out=factor)
-            np.add(power, factor, out=power)
-            numbers += data_term(weights)
+            np.multiply(power, factor, out=power)
+            after_sq = float(power.sum())
+            objective_after = float(np.multiply(power, weights, out=power).sum())
             _multiply_spectrum(residual, weights)  # W R
             if s > 1:  # the adjoint of the fold: tile the full coarse width s x s
                 coarse = _full_width(residual, fold[..., :wc])
@@ -413,7 +402,8 @@ class DownsampleConvolution(LinearOperator):
             x = irfft2_into(spectrum, np.empty(self.input_shape))
             x *= -mu
             x += x0
-            return (x, *numbers)
+            return (x, 0.5 * objective, float(np.sqrt(residual_sq)),
+                    0.5 * objective_after, float(np.sqrt(after_sq)))
 
         return step
 

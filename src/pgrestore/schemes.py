@@ -253,12 +253,13 @@ def _loop(denoiser, step, cfg: SchemeConfig, x, renoise=None):
     and ``renoise(x, x_guided, t)`` overwrites x with x_{t-1}.
     """
     alpha_bar = cfg.schedule.alpha_bar
+    # Python floats, read once per run: indexing the arrays costs more per iteration.
+    sigmas = np.sqrt((1.0 - alpha_bar) / alpha_bar).tolist()
+    sqrt_abar, deltas, mus = np.sqrt(alpha_bar).tolist(), cfg.delta.tolist(), cfg.mu.tolist()
     rows = []
     for t in range(cfg.T, 0, -1):
-        abar = alpha_bar[t]
-        sigma_t = float(np.sqrt((1.0 - abar) / abar))
         try:
-            x0 = np.asarray(denoiser(x if renoise is None else x / np.sqrt(abar), sigma_t),
+            x0 = np.asarray(denoiser(x if renoise is None else x / sqrt_abar[t], sigmas[t]),
                             dtype=float)
         except Exception as exc:
             raise RuntimeError(f"denoiser failed at iteration t={t}: {exc}") from exc
@@ -267,9 +268,9 @@ def _loop(denoiser, step, cfg: SchemeConfig, x, renoise=None):
                                f"at iteration t={t}, stage denoise")
         if not np.isfinite(x0).all():
             raise RuntimeError(f"non-finite iterate at iteration t={t}, stage denoise")
-        delta_t = float(cfg.delta[t - 1])
-        x_guided, *numbers = step(x0, delta_t, cfg.mu[t - 1])
-        if not np.isfinite(numbers).all():
+        delta_t = deltas[t - 1]
+        x_guided, *numbers = step(x0, delta_t, mus[t - 1])
+        if not all(map(math.isfinite, numbers)):
             raise RuntimeError(
                 f"non-finite iterate at iteration t={t}, stage guide "
                 f"(objective, residual before and after: {numbers})")

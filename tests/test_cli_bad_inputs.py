@@ -1,8 +1,7 @@
 """Generated bad settings and files, driven through ``cli.main``.
 
 Each must exit 2 with one ``error:`` line that names the key or the file,
-and print no traceback. String settings with a bad value (``--denoiser
-gauss:abc``, say) are not covered here.
+and print no traceback.
 """
 
 import contextlib
@@ -123,6 +122,35 @@ def test_bad_numeric_setting_names_its_key(files, case):
     code, err = _run(argv)
     _assert_one_error_naming(code, err, key)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["gauss:abc", "gauss:-1", "gauss:nan", "gauss:inf", "external:",
+                                  "external: ", "nlm"])
+@pytest.mark.parametrize("in_config", [False, True], ids=["flag", "cfg"])
+def test_bad_denoiser_spec_names_its_key_and_source(files, spec, in_config):
+    out = files / "out.pgt"
+    argv = ["restore", *_base_flags(files, "restore", "denoiser", out)]
+    if in_config:
+        (files / "bad.cfg").write_text(f"denoiser={spec}\n")
+        argv += ["--config", files / "bad.cfg"]
+    else:
+        argv.append(f"--denoiser={spec}")
+    code, err = _run(argv)
+    _assert_one_error_naming(code, err, "denoiser")
+    assert ("bad.cfg" if in_config else "command line") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["restored", "reference"])
+def test_eval_rejects_non_finite_tensor(files, value, which):
+    tensor = io.read_tensor(files / "source.pgt")
+    tensor[0, 3, 5] = value
+    io.write_tensor(files / "bad.pgt", tensor)
+    paths = {"restored": files / "x.pgt", "reference": files / "source.pgt"}
+    paths[which] = files / "bad.pgt"
+    code, err = _run(["eval", "--restored", paths["restored"], "--reference", paths["reference"]])
+    _assert_one_error_naming(code, err, "bad.pgt")
 
 
 def _token_spans(text):

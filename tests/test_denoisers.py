@@ -16,7 +16,7 @@ from pgrestore.denoisers import (
 )
 from pgrestore.io import read_tensor, write_tensor
 from pgrestore.kernels import gaussian_kernel
-from pgrestore.linops import CircularConvolution
+from pgrestore.linops import CircularConvolution, fourier_filter
 from pgrestore.metrics import NoiseSpec, degrade
 from pgrestore.schemes import eps_effective, make_ddpm_schedule, make_scheme_config, run_scheme
 from oracles import peak_traced_bytes
@@ -199,6 +199,36 @@ class TestWienerPrior:
         with pytest.raises(ValueError):
             WienerPrior(spectrum=spec)
 
+    @pytest.mark.parametrize("mean_shape", [(), (12, 10), (3, 12, 10)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_mean_is_broadcast_as_an_image_would_be(self, rng, mean_shape, channels):
+        # The reference broadcasts the mean to the full image first; a
+        # 3-channel mean does not fit a 1-channel image.
+        base = WienerPrior.smooth_default((12, 10), amplitude=3.0)
+        mean = rng.random(mean_shape)
+        prior = WienerPrior(spectrum=base.spectrum, mean=mean)
+        x = rng.standard_normal((channels, 12, 10))
+        if mean_shape[:1] == (3,) and channels == 1:
+            with pytest.raises(ValueError):
+                WienerMMSE(prior)(x, 0.4)
+            with pytest.raises(ValueError):
+                prior.sample(np.random.default_rng(9), channels=channels)
+            return
+        image_mean = np.broadcast_to(mean, x.shape)
+        half = base.half_spectrum
+        expected = fourier_filter(x - image_mean, half / (half + 0.4**2)) + image_mean
+        assert np.array_equal(WienerMMSE(prior)(x, 0.4), expected)
+        white = np.random.default_rng(9).standard_normal(x.shape)
+        expected = image_mean + fourier_filter(white, np.sqrt(half))
+        assert np.array_equal(prior.sample(np.random.default_rng(9), channels=channels), expected)
+
+    @pytest.mark.parametrize("mean", [np.nan, np.inf, np.zeros((5, 5)), np.zeros((3, 5, 10)),
+                                      np.zeros((1, 1, 12, 10))],
+                             ids=["nan", "inf", "other-grid", "other-channel-grid", "4-D"])
+    def test_bad_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="mean"):
+            WienerPrior(spectrum=np.ones((12, 10)), mean=mean)
+
 
 class TestGaussianSmooth:
     def test_sigma_zero_identity(self, rng):
@@ -278,7 +308,7 @@ class TestExternalDenoiser:
 
     def test_runs_failure_context_in_scheme(self, tmp_path, rng):
         from pgrestore.kernels import delta_kernel
-        from pgrestore.linops import CircularConvolution
+        from pgrestore.linops import CircularConvolution, fourier_filter
         from pgrestore.schemes import idpg_run, make_ddpm_schedule, make_scheme_config
 
         denoiser = ExternalDenoiser(["/nonexistent/denoiser-binary"])

@@ -299,6 +299,17 @@ class TestGuidedStep:
         assert np.linalg.norm(x - expected_x) <= 1e-10 * np.linalg.norm(expected_x)
         np.testing.assert_allclose(numbers, expected, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("kind", ["conv-odd", "sr2-odd", "sr4-odd"])
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
+    def test_fourier_step_with_mu_zero_changes_nothing(self, rng, kind, delta):
+        # Exact: the numbers after the step weight the same |R|^2 by (1 - 0)^2.
+        op = _spectral_operator(kind, 3)
+        x0 = rng.standard_normal(op.input_shape)
+        x, objective, residual, objective_after, residual_after = op.guided_step(
+            rng.standard_normal(op.output_shape), 0.1, 0.7)(x0, delta, 0.0)
+        assert np.array_equal(x, x0)
+        assert objective_after == objective and residual_after == residual
+
     @given(
         channels=st.sampled_from([1, 3]),
         grid=st.sampled_from([(16, 16), (15, 17)]),
