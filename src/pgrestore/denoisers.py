@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .io import read_tensor, write_tensor
-from .linops import fourier_filter
+from .linops import fourier_filter, rfft2_into
 
 __all__ = [
     "Identity",
@@ -74,7 +74,7 @@ class GaussianSmooth:
         dx = np.minimum(np.arange(width), width - np.arange(width))
         taps = np.exp(-(dy[:, None] ** 2 + dx[None, :] ** 2) / (2.0 * h**2))
         taps /= taps.sum()
-        return fourier_filter(x, np.fft.rfft2(taps))
+        return fourier_filter(x, rfft2_into(taps))
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,14 @@ class WienerPrior:
 
     def sample(self, rng: np.random.Generator, channels: int = 1) -> np.ndarray:
         """Draw an image from the prior (spectral coloring of white noise)."""
+        self._check_channels(channels)
         white = rng.standard_normal((channels,) + self.spectrum.shape)
         out = fourier_filter(white, np.sqrt(self.half_spectrum))
         return np.add(out, self.mean, out=out)
+
+    def _check_channels(self, channels: int) -> None:
+        if self.mean.ndim == 3 and self.mean.shape[0] not in (1, channels):
+            raise ValueError(f"prior mean has {len(self.mean)} channels, the image has {channels}")
 
 
 class WienerMMSE:
@@ -152,6 +157,7 @@ class WienerMMSE:
             raise ValueError(
                 f"prior grid {prior.spectrum.shape} does not match image {x.shape[1:]}"
             )
+        prior._check_channels(x.shape[0])
         half = prior.half_spectrum
         shrink = half + sigma**2
         np.divide(half, shrink, out=shrink)
@@ -222,8 +228,8 @@ class ExternalDenoiser:
 
 
 def _check_sigma(sigma: float) -> None:
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not 0.0 <= sigma < np.inf:  # NaN fails too
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
 
 
 def make_denoiser(spec: str, prior: WienerPrior):

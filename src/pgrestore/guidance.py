@@ -17,8 +17,8 @@ once; it is the reference for every faster form.
 
 ``make_guided_step`` derives c = min(1, 1/||A||^2) from ``op.norm`` and
 asks the operator for the step a run takes T times (``guided_step``):
-blur and downsampling take a Fourier-domain form (one rfft2 and one
-irfft2 per step), masks a full-grid form with no transform, both equal
+blur and downsampling take a Fourier-domain form (one transform each
+way per step), masks a full-grid form with no transform, both equal
 to ``guide`` up to rounding; every other operator calls ``guide``. With
 c ||A||^2 <= 1 and mu in [0, 1] (``SchemeConfig``), each mode's residual
 factor 1 - mu lambda^2 w lies in [0, 1]: no step raises the data term.

@@ -15,15 +15,16 @@ Masks are tight frames (A A^T = I, so the Gram solve is a scaling), and
 dense matrices use direct solves and exist for oracle-scale testing.
 
 ``fourier_filter(x, response)`` holds the package's FFT convention (images
-are real: ``rfft2`` and its inverse over the last two axes, responses on
-the half spectrum of ``w//2 + 1`` columns); the primitives and denoisers
-use it. The inverse is ``irfft2_into``, a row ``ifft`` in place and then an
-``irfft`` into a given array, not ``irfft2``: that makes a complex
-temporary in its row pass and ignores ``out=``.
+are real: the 2-D real FFT and its inverse over the last two axes,
+responses on the half spectrum of ``w//2 + 1`` columns); the primitives
+and denoisers use it. Every 2-D transform is ``rfft2_into`` or
+``irfft2_into``: the two 1-D passes of ``rfft2`` or ``irfft2``, written
+into a given array, without the n-D functions' argument handling and
+temporaries.
 Each operator builds a run's guided step, ``guided_step(y, eta, c)``, the
 step of :func:`pgrestore.guidance.guide` for one measurement (the base class
 calls ``guide``). ``DownsampleConvolution`` forms it on the coarse half
-spectrum with one rfft2 and one inverse, in work arrays that the step owns
+spectrum with one transform each way, in work arrays that the step owns
 for the run (the fine spectrum, the fold arrays, the weights, |R|^2 and
 the residual factor), so that a call allocates only the image it returns;
 ``Mask`` on the image grid, with a scalar weighting and no transform.
@@ -106,7 +107,7 @@ def _kernel_response(kernel: np.ndarray, grid_shape) -> np.ndarray:
     padded = np.zeros((h, w))
     padded[:kh, :kw] = kernel
     padded = np.roll(padded, ((-((kh - 1) // 2)), (-((kw - 1) // 2))), axis=(0, 1))
-    return np.fft.rfft2(padded)
+    return rfft2_into(padded)
 
 
 def fourier_filter(x: np.ndarray, response: np.ndarray, out=None, spectrum=None) -> np.ndarray:
@@ -117,13 +118,23 @@ def fourier_filter(x: np.ndarray, response: np.ndarray, out=None, spectrum=None)
     Returns ``out``, or a fresh C-contiguous real array. A caller that
     filters often passes its own work arrays: ``out`` (real, x's shape; it
     may be ``x`` itself) and ``spectrum`` (complex, the half spectrum's
-    shape), and then the call allocates nothing the size of an image. The
-    inverse is ``irfft2_into``, not ``irfft2``, which would allocate both
-    a complex temporary and the output.
+    shape), and then the call allocates nothing the size of an image.
     """
-    spectrum = np.fft.rfft2(x, axes=(-2, -1), out=spectrum)
+    spectrum = rfft2_into(x, spectrum)
     _multiply_spectrum(spectrum, response)
     return irfft2_into(spectrum, np.empty(x.shape) if out is None else out)
+
+
+def rfft2_into(x: np.ndarray, spectrum=None) -> np.ndarray:
+    """``rfft2(x, axes=(-2, -1))`` bit for bit, written into ``spectrum`` (or a fresh array).
+
+    ``rfft2``'s own 1-D passes (``rfft`` over the last axis, then ``fft`` in
+    place) without its n-D argument handling, which costs more than both on 32^2.
+    """
+    if spectrum is None:
+        spectrum = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=complex)
+    np.fft.rfft(x, axis=-1, out=spectrum)
+    return np.fft.fft(spectrum, axis=-2, out=spectrum)
 
 
 def irfft2_into(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -320,7 +331,7 @@ class DownsampleConvolution(LinearOperator):
         multiplicity over the coarse grid size, gives each of the four
         numbers as one sum, the two after the step with (1 - mu G W)^2
         applied to it. Everything lives on the rfft2 half grid, so a call
-        takes one rfft2 and one inverse (``irfft2_into``); for s > 1 the
+        takes ``rfft2_into`` and ``irfft2_into`` once each; for s > 1 the
         fold and its adjoint pass through the full coarse width by
         Hermitian symmetry.
 
@@ -337,7 +348,7 @@ class DownsampleConvolution(LinearOperator):
         hc, wc = h // s, w // s
         half, coarse_half = w // 2 + 1, wc // 2 + 1
         response, gram = self._response, self._gram_response
-        y_hat = np.fft.rfft2(y, axes=(-2, -1))
+        y_hat = rfft2_into(y)
         spectrum = np.empty((channels, h, half), dtype=complex)
         if s > 1:
             rows = np.empty((channels, hc, half), dtype=complex)
@@ -366,7 +377,7 @@ class DownsampleConvolution(LinearOperator):
             return mixed
 
         def step(x0, delta, mu):
-            np.fft.rfft2(x0, axes=(-2, -1), out=spectrum)
+            rfft2_into(x0, spectrum)
             np.multiply(spectrum, response, out=spectrum)
             if s > 1:  # fold: rows by a sum over s, columns once extended to full width
                 spectrum.reshape(channels, s, hc, half).sum(axis=1, out=rows)

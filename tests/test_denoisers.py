@@ -222,6 +222,15 @@ class TestWienerPrior:
         expected = image_mean + fourier_filter(white, np.sqrt(half))
         assert np.array_equal(prior.sample(np.random.default_rng(9), channels=channels), expected)
 
+    def test_mean_with_another_channel_count_is_named(self, rng):
+        base = WienerPrior.smooth_default((12, 10), amplitude=3.0)
+        prior = WienerPrior(spectrum=base.spectrum, mean=rng.random((3, 12, 10)))
+        message = "prior mean has 3 channels, the image has 1"
+        with pytest.raises(ValueError, match=message):
+            WienerMMSE(prior)(rng.standard_normal((1, 12, 10)), 0.4)
+        with pytest.raises(ValueError, match=message):
+            prior.sample(np.random.default_rng(9), channels=1)
+
     @pytest.mark.parametrize("mean", [np.nan, np.inf, np.zeros((5, 5)), np.zeros((3, 5, 10)),
                                       np.zeros((1, 1, 12, 10))],
                              ids=["nan", "inf", "other-grid", "other-channel-grid", "4-D"])
@@ -244,6 +253,19 @@ class TestGaussianSmooth:
         x = rng.standard_normal(SHAPE)
         out = GaussianSmooth()(x, 2.0)
         assert out.std() < x.std()
+
+
+@pytest.mark.parametrize("make", [
+    Identity,
+    GaussianSmooth,
+    lambda: WienerMMSE(WienerPrior.smooth_default(SHAPE[1:])),
+    lambda: ExternalDenoiser(["/nonexistent/denoiser-binary"]),
+], ids=["identity", "gauss", "wiener", "external"])
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+def test_non_finite_or_negative_sigma_rejected(rng, make, sigma):
+    # Before any work: the external denoiser would otherwise hand 'nan' to its command.
+    with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+        make()(rng.standard_normal(SHAPE), sigma)
 
 
 def _write_script(path, body):

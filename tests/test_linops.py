@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgrestore.kernels import bicubic_kernel, delta_kernel, gaussian_kernel
 from pgrestore.linops import (
@@ -10,6 +12,7 @@ from pgrestore.linops import (
     ShapeMismatchError,
     SingularOperatorError,
     fourier_filter,
+    rfft2_into,
 )
 from oracles import (
     naive_circular_conv,
@@ -318,3 +321,34 @@ def test_filter_output_owns_its_data(rng, make_output):
     out = make_output(rng.standard_normal((2, 12, 10)))
     assert out.flags.c_contiguous
     assert out.base is None or out.base.nbytes == out.nbytes
+
+
+@given(
+    shape=st.sampled_from([(1,), (3,), ()]).flatmap(lambda lead: st.tuples(
+        st.just(lead), st.integers(1, 9), st.integers(1, 9))),
+    seed=st.integers(0, 2**16),
+)
+@example(shape=((1,), 4, 1), seed=0)
+@example(shape=((3,), 5, 2), seed=1)
+@example(shape=((), 6, 7), seed=2)
+@settings(max_examples=60, deadline=None)
+def test_rfft2_into_equals_rfft2(shape, seed):
+    # The fast path against numpy's n-D reference, bit for bit: 1 and 3
+    # channels and plain 2-D arrays, odd and even sides down to 1.
+    lead, h, w = shape
+    x = np.random.default_rng(seed).standard_normal(lead + (h, w))
+    spectrum = np.empty(lead + (h, w // 2 + 1), dtype=complex)
+    got = rfft2_into(x, spectrum)
+    assert got is spectrum
+    expected = np.fft.rfft2(x, axes=(-2, -1))
+    assert np.array_equal(got.view(float), expected.view(float))
+    assert np.array_equal(rfft2_into(x).view(float), expected.view(float))
+
+
+@pytest.mark.parametrize("shape", [(1, 12, 10), (3, 9, 11), (2, 8, 1), (1, 5, 2)])
+def test_fourier_filter_with_and_without_work_array(rng, shape):
+    x = rng.standard_normal(shape)
+    response = np.fft.rfft2(rng.standard_normal(shape[1:]))
+    spectrum = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+    assert np.array_equal(fourier_filter(x, response, spectrum=spectrum),
+                          fourier_filter(x, response))

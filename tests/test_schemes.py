@@ -333,10 +333,11 @@ def test_no_guided_step_raises_the_data_term(kind, gain, method, policy, seed):
     ("deblur", 4), ("sr2", 4), ("inpaint", 2), ("sr4", 4)])
 def test_fft_calls_per_iteration(monkeypatch, method, task, per_iteration):
     # Exact counts from the first denoiser call on: the Fourier-domain
-    # guided step of the spectral operators makes one rfft2 and one inverse
-    # (F(y) is taken once per run, before counting starts), a mask's step
-    # none; the Wiener denoiser makes 2. The inverse, linops.irfft2_into, is
-    # one 2-D transform made of two 1-D passes, so it counts once.
+    # guided step of the spectral operators makes one forward transform and
+    # one inverse (F(y) is taken once per run, before counting starts), a
+    # mask's step none; the Wiener denoiser makes 2. linops.rfft2_into and
+    # linops.irfft2_into are each one 2-D transform made of two 1-D passes,
+    # so each counts once.
     shape = (1, 32, 32)
     prior = WienerPrior.smooth_default(shape[1:], amplitude=16.0)
     x_star = prior.sample(np.random.default_rng(0))
@@ -352,7 +353,7 @@ def test_fft_calls_per_iteration(monkeypatch, method, task, per_iteration):
 
     calls = []
     transforms = [(np.fft, name) for name in ("fft2", "ifft2", "rfft2", "irfft2")]
-    for owner, name in transforms + [(linops, "irfft2_into")]:
+    for owner, name in transforms + [(linops, "rfft2_into"), (linops, "irfft2_into")]:
         def counted(*args, _fn=getattr(owner, name), **kwargs):
             if calls:
                 calls[0] += 1
@@ -367,6 +368,30 @@ def test_fft_calls_per_iteration(monkeypatch, method, task, per_iteration):
 
     run_scheme(start_counting, op, y, cfg)
     assert calls[0] == per_iteration * cfg.T
+
+
+@pytest.mark.parametrize("method", ["idpg", "ddpg"])
+@pytest.mark.parametrize("task", ["deblur", "sr2", "inpaint"])
+def test_no_numpy_2d_transform_in_a_run(monkeypatch, method, task):
+    # Every 2-D transform, from the operator's construction to the last
+    # step, goes through linops.rfft2_into and linops.irfft2_into.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy's 2-D FFT called")
+
+    for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, forbidden)
+    shape = (1, 32, 32)
+    prior = WienerPrior.smooth_default(shape[1:], amplitude=16.0)
+    if task == "deblur":
+        op = CircularConvolution(gaussian_kernel(5, 10.0), shape)
+    elif task == "sr2":
+        op = DownsampleConvolution(bicubic_kernel(2), 2, shape)
+    else:
+        op = Mask(np.random.default_rng(1).random(shape[1:]) < 0.5, shape)
+    y = degrade(op, prior.sample(np.random.default_rng(0)), NoiseSpec(0.05, seed=2))
+    cfg = make_scheme_config(method, make_ddpm_schedule(10), 0.05, seed=3)
+    x, _ = run_scheme(WienerMMSE(prior), op, y, cfg)
+    assert np.isfinite(x).all()
 
 
 def ddpg_out_of_place(denoiser, op, y, cfg):
