@@ -22,6 +22,11 @@ from pgrestore.linops import CircularConvolution
 from pgrestore.metrics import NoiseSpec, degrade, psnr
 from pgrestore.schemes import make_ddpm_schedule, make_scheme_config, run_scheme
 
+# Image i is drawn with seed i, its noise with NOISE_SEED + i and DDPG's run
+# on it with RUN_SEED + i: three disjoint streams while --images <= 1000, so
+# no run starts from the draw that made its ground truth.
+NOISE_SEED, RUN_SEED, MAX_IMAGES = 1000, 2000, 1000
+
 
 def build_world(size: int, amplitude: float, n_images: int, sigma_e: float):
     shape = (1, size, size)
@@ -31,7 +36,7 @@ def build_world(size: int, amplitude: float, n_images: int, sigma_e: float):
     for i in range(n_images):
         x_star = prior.sample(np.random.default_rng(i))
         images.append(x_star)
-        measurements.append(degrade(op, x_star, NoiseSpec(sigma_e, seed=1000 + i)))
+        measurements.append(degrade(op, x_star, NoiseSpec(sigma_e, seed=NOISE_SEED + i)))
     return op, prior, images, measurements
 
 
@@ -47,6 +52,8 @@ def main() -> None:
     parser.add_argument("--steps", type=int, default=100)
     parser.add_argument("--skip-ddpg", action="store_true")
     args = parser.parse_args()
+    if not 1 <= args.images <= MAX_IMAGES:
+        parser.error(f"--images must lie in [1, {MAX_IMAGES}], got {args.images}")
 
     op, prior, images, measurements = build_world(
         args.size, args.amplitude, args.images, args.sigma_e
@@ -68,7 +75,7 @@ def main() -> None:
             cfg = make_scheme_config(
                 method, schedule, args.sigma_e,
                 gamma=args.gamma, eta_tilde=args.eta_tilde, zeta=args.zeta,
-                seed=i, step_size_policy=policy,
+                seed=RUN_SEED + i, step_size_policy=policy,
             )
             restored, _ = run_scheme(denoiser, op, y, cfg)
             values.append(psnr(restored, x_star))

@@ -59,12 +59,12 @@ def _weighted_residual(op: LinearOperator, x, y, delta: float, eta: float, c: fl
 
     The endpoints skip the unused term, so at delta = 0 W r is exactly the
     Gram solve and at delta = 1 exactly c r. Rejects delta outside [0, 1]
-    and c <= 0, for which W is not a valid weighting.
+    and c outside (0, inf), for which W is not a valid weighting.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     r = op.apply(x) - np.asarray(y, dtype=float)
     if delta == 0.0:
         return r, op.solve_gram(r, eta)
@@ -106,16 +106,17 @@ def guide(op: LinearOperator, x0, y, delta: float, eta: float, c: float, mu: flo
 def make_guided_step(op: LinearOperator, y, eta: float):
     """Build the guided step of one run, for a fixed y.
 
-    Checks y's shape and eta >= 0, and returns ``op.guided_step(y, eta,
-    default_ls_scale(op))``: ``step(x0, delta, mu)``, which returns what
-    ``guide(op, x0, y, delta, eta, c, mu)`` does, up to rounding. delta
-    and x0 are not checked per call: ``SchemeConfig`` holds delta in
-    [0, 1], and the loop checks the denoiser's output shape.
+    Checks y's shape and that eta is nonnegative and finite, and returns
+    ``op.guided_step(y, eta, default_ls_scale(op))``: ``step(x0, delta,
+    mu)``, which returns what ``guide(op, x0, y, delta, eta, c, mu)``
+    does, up to rounding. delta and x0 are not checked per call:
+    ``SchemeConfig`` holds delta in [0, 1], and the loop checks the
+    denoiser's output shape.
     """
     y = np.asarray(y, dtype=float)
     _check_shape("measurement", y, op.output_shape)
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
+    if not 0.0 <= eta < math.inf:
+        raise ValueError(f"eta must be nonnegative and finite, got {eta}")
     return op.guided_step(y, eta, default_ls_scale(op))
 
 

@@ -37,6 +37,8 @@ guided step, which writes into its own arrays, serves one run in one thread.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -228,8 +230,8 @@ class LinearOperator:
         """Measurement-space solve (A A^T + eta I)^-1 r."""
         r = np.asarray(r, dtype=float)
         _check_shape("measurement", r, self.output_shape)
-        if eta < 0:
-            raise ValueError(f"eta must be nonnegative, got {eta}")
+        if not 0.0 <= eta < math.inf:
+            raise ValueError(f"eta must be nonnegative and finite, got {eta}")
         return self._solve_gram(r, float(eta))
 
     def apply_reg_pinv(self, z: np.ndarray, eta: float) -> np.ndarray:

@@ -8,7 +8,8 @@ with Monte-Carlo draws through the estimator itself, and packages the
 individual properties (gradient zero-set equivalence, preconditioner
 factorization, single-step descent, Hessian conditioning, and the
 bias/variance orderings) as a battery the CLI ``verify`` subcommand and
-the test suite both run.
+the test suite both run. The Tikhonov problems fix Theorem 1's setting,
+eta = 0 and LS scale c = 1; only claims 1, 3 and 4 vary eta or c.
 
 All computations are pure; Monte-Carlo draws use isolated seeded
 generators.
@@ -16,6 +17,7 @@ generators.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -35,7 +37,6 @@ __all__ = [
     "TheoremReport",
     "verify_theorem1",
     "condition_numbers",
-    "Claim2Result",
     "verify_claim2",
     "CheckResult",
     "claim1_check",
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 _MODES = ("ls", "bp", "wls")
+_MC_DRAWS = 20000
 _EIGENBASIS_TOL = 1e-8
 # The delta values at which claim 3 takes its guided step, BP to LS.
 _CLAIM3_DELTAS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -61,10 +63,10 @@ class TikhonovProblem:
 
     The estimator minimizes 0.5 ||W^(1/2)(A x - y)||^2 +
     (beta_prior / 2) ||D x||^2, with W chosen per data-fidelity mode.
-    ``delta`` parameterizes the WLS weight, whose LS scale is c = 1, the
-    theorem setting; ``eta`` regularizes the Gram inverse inside the
-    BP/WLS weights (0 for the theorem setting). ``beta_prior`` is the
-    prior weight, unrelated to the diffusion schedule's beta.
+    The theorem setting is fixed: the BP/WLS weights use the plain Gram
+    inverse (A A^T)^-1 (eta = 0) and the LS scale is c = 1; ``delta``
+    parameterizes the WLS weight. ``beta_prior`` is the prior weight,
+    unrelated to the diffusion schedule's beta.
     """
 
     a_matrix: np.ndarray
@@ -73,7 +75,6 @@ class TikhonovProblem:
     sigma_e: float
     x_star: np.ndarray
     delta: float
-    eta: float = 0.0
 
     def __post_init__(self):
         a = np.asarray(self.a_matrix, dtype=float)
@@ -89,10 +90,10 @@ class TikhonovProblem:
             raise ValueError(f"D must be {n} x {n}, got {d.shape}")
         if x.shape != (n,):
             raise ValueError(f"x_star must have shape ({n},), got {x.shape}")
-        if self.beta_prior <= 0:
-            raise ValueError("beta_prior must be positive")
-        if self.sigma_e < 0 or self.eta < 0:
-            raise ValueError("sigma_e and eta must be nonnegative")
+        if not 0.0 < self.beta_prior < math.inf:
+            raise ValueError(f"beta_prior must be positive and finite, got {self.beta_prior}")
+        if not 0.0 <= self.sigma_e < math.inf:
+            raise ValueError(f"sigma_e must be nonnegative and finite, got {self.sigma_e}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
         dtd = d.T @ d
@@ -144,14 +145,13 @@ def _check_mode(mode: str) -> None:
 
 
 def data_weight_matrix(p: TikhonovProblem, mode: str) -> np.ndarray:
-    """The data-term weight W: I (ls), regularized Gram inverse (bp),
-    or their delta convex combination (wls), with LS scale c = 1."""
+    """The data-term weight W: I (ls), Gram inverse (bp), or their delta
+    convex combination (wls), with eta = 0 and LS scale c = 1."""
     _check_mode(mode)
     m = p.shape[0]
     if mode == "ls":
         return np.eye(m)
-    gram = p.a_matrix @ p.a_matrix.T + p.eta * np.eye(m)
-    gram_inv = np.linalg.inv(gram)
+    gram_inv = np.linalg.inv(p.a_matrix @ p.a_matrix.T)
     if mode == "bp":
         return gram_inv
     return (1.0 - p.delta) * gram_inv + p.delta * np.eye(m)
@@ -200,13 +200,13 @@ def _spectral_data(p: TikhonovProblem):
     return lam, gamma2, v
 
 
-def _mode_weights(mode: str, lam: np.ndarray, delta: float, eta: float) -> np.ndarray:
+def _mode_weights(mode: str, lam: np.ndarray, delta: float) -> np.ndarray:
     """Eigenvalues s_i of W on A's left singular basis."""
     if mode == "ls":
         return np.ones_like(lam)
     if mode == "bp":
-        return 1.0 / (lam**2 + eta)
-    return (1.0 - delta) / (lam**2 + eta) + delta
+        return 1.0 / lam**2
+    return (1.0 - delta) / lam**2 + delta
 
 
 def bias_variance_closed_form(p: TikhonovProblem, mode: str) -> tuple[float, float]:
@@ -220,12 +220,12 @@ def bias_variance_closed_form(p: TikhonovProblem, mode: str) -> tuple[float, flo
         v   = sigma_e^2 sum_i l_i^2 s_i^2 / (l_i^2 s_i + beta g_i^2)^2
 
     The null-space bias term counts the energy of x* that no data term
-    can see. The weights use the problem's eta, which is 0 in the theorem.
+    can see.
     """
     _check_mode(mode)
     lam, gamma2, v = _spectral_data(p)
     m = p.shape[0]
-    s = _mode_weights(mode, lam, p.delta, p.eta)
+    s = _mode_weights(mode, lam, p.delta)
     coeffs = p.beta_prior * gamma2 / (lam**2 * s + p.beta_prior * gamma2)
     z_range = v[:, :m].T @ p.x_star
     null_energy = float(p.x_star @ p.x_star - z_range @ z_range)
@@ -249,37 +249,33 @@ class MCBiasVariance:
     se_mse: float
 
 
-def mc_bias_variance(
-    p: TikhonovProblem, mode: str, n_draws: int = 20000, seed: int = 0
-) -> MCBiasVariance:
+def mc_bias_variance(p: TikhonovProblem, mode: str, seed: int) -> MCBiasVariance:
     """Estimate bias^2 and variance by running the estimator on noisy draws.
 
     Independent of the closed-form path: estimates come from one batched
-    ``tikhonov_estimate`` call on the draws y = A x* + e. The bias^2
+    ``tikhonov_estimate`` call on 20000 draws y = A x* + e. The bias^2
     estimate subtracts the v/N inflation of the sample-mean distance,
     and standard errors come from per-draw statistics (delta method for
     the bias term), floored at a small relative value so exact matches
     with sigma_e = 0 remain comparable.
     """
-    if n_draws < 2:
-        raise ValueError(f"need at least 2 Monte-Carlo draws, got {n_draws}")
     rng = np.random.default_rng(seed)
     y_clean = p.a_matrix @ p.x_star
-    noise = p.sigma_e * rng.standard_normal((n_draws, p.shape[0]))
-    estimates = tikhonov_estimate(p, mode, (y_clean + noise).T).T  # n_draws x n
+    noise = p.sigma_e * rng.standard_normal((_MC_DRAWS, p.shape[0]))
+    estimates = tikhonov_estimate(p, mode, (y_clean + noise).T).T  # _MC_DRAWS x n
     center = estimates.mean(axis=0)
     deviations = estimates - center
     dev_sq = np.einsum("ij,ij->i", deviations, deviations)
-    var_hat = float(dev_sq.sum() / (n_draws - 1))
-    se_var = float(dev_sq.std(ddof=1) / np.sqrt(n_draws))
+    var_hat = float(dev_sq.sum() / (_MC_DRAWS - 1))
+    se_var = float(dev_sq.std(ddof=1) / np.sqrt(_MC_DRAWS))
     mean_err = center - p.x_star
-    bias_sq_hat = float(mean_err @ mean_err) - var_hat / n_draws
+    bias_sq_hat = float(mean_err @ mean_err) - var_hat / _MC_DRAWS
     q = deviations @ mean_err
-    se_bias = float(2.0 * q.std(ddof=1) / np.sqrt(n_draws))
+    se_bias = float(2.0 * q.std(ddof=1) / np.sqrt(_MC_DRAWS))
     err = estimates - p.x_star
     err_sq = np.einsum("ij,ij->i", err, err)
     mse_hat = float(err_sq.mean())
-    se_mse = float(err_sq.std(ddof=1) / np.sqrt(n_draws))
+    se_mse = float(err_sq.std(ddof=1) / np.sqrt(_MC_DRAWS))
     floor = 1e-9
     return MCBiasVariance(
         bias_sq=bias_sq_hat,
@@ -293,14 +289,10 @@ def mc_bias_variance(
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """The six closed-form numbers and the two strict orderings."""
+    """Each mode's closed-form squared bias and variance, and the two strict orderings."""
 
-    bias_sq_bp: float
-    bias_sq_wls: float
-    bias_sq_ls: float
-    var_bp: float
-    var_wls: float
-    var_ls: float
+    bias_sq: dict[str, float]
+    var: dict[str, float]
     bias_ordering: bool
     var_ordering: bool
 
@@ -313,33 +305,27 @@ def verify_theorem1(p: TikhonovProblem) -> TheoremReport:
     """Evaluate the bias/variance orderings b_BP < b_WLS < b_LS and
     v_LS < v_WLS < v_BP on a conforming instance.
 
+    Assumption (c), eta = 0 and c = 1, holds for every ``TikhonovProblem``.
     Raises ValueError naming the violated assumption when the instance
-    does not satisfy them: (a) shared eigenbasis with D^T D positive
+    does not satisfy the others: (a) shared eigenbasis with D^T D positive
     definite (checked at construction), (b) singular values in (0, 1]
-    and not all equal, (c) eta = 0 (c = 1 always holds here); delta must
-    lie strictly inside (0, 1) for strict orderings.
+    and not all equal; delta must lie strictly inside (0, 1).
     """
     lam = np.linalg.svd(p.a_matrix, compute_uv=False)
     if np.any(lam <= 0) or np.any(lam > 1.0 + 1e-12):
         raise ValueError("assumption (b) violated: singular values must lie in (0, 1]")
     if lam.max() - lam.min() < 1e-12:
         raise ValueError("assumption (b) violated: singular values must not all be equal")
-    if p.eta != 0.0:
-        raise ValueError("assumption (c) violated: eta must be 0")
     if not 0.0 < p.delta < 1.0:
         raise ValueError("delta must lie strictly inside (0, 1)")
-    b2_bp, v_bp = bias_variance_closed_form(p, "bp")
-    b2_wls, v_wls = bias_variance_closed_form(p, "wls")
-    b2_ls, v_ls = bias_variance_closed_form(p, "ls")
+    b2, v = {}, {}
+    for mode in _MODES:
+        b2[mode], v[mode] = bias_variance_closed_form(p, mode)
     return TheoremReport(
-        bias_sq_bp=b2_bp,
-        bias_sq_wls=b2_wls,
-        bias_sq_ls=b2_ls,
-        var_bp=v_bp,
-        var_wls=v_wls,
-        var_ls=v_ls,
-        bias_ordering=b2_bp < b2_wls < b2_ls,
-        var_ordering=v_ls < v_wls < v_bp,
+        bias_sq=b2,
+        var=v,
+        bias_ordering=b2["bp"] < b2["wls"] < b2["ls"],
+        var_ordering=v["ls"] < v["wls"] < v["bp"],
     )
 
 
@@ -355,16 +341,16 @@ def condition_numbers(lam, delta: float, c: float) -> tuple[float, float, float]
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1 or len(lam) < 2:
         raise ValueError("need at least two singular values")
-    if np.any(lam <= 0):
-        raise ValueError("degenerate singular values: all must be positive")
+    if not np.all((0 < lam) & (lam < math.inf)):
+        raise ValueError("degenerate singular values: all must be positive and finite")
     if np.any(np.diff(lam) > 0):
         raise ValueError("singular values must be sorted in decreasing order")
     if lam[0] - lam[-1] < 1e-15:
         raise ValueError("degenerate singular values: must not all be equal")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     kappa_ls = float(lam[0] ** 2 / lam[-1] ** 2)
     kappa_wls = float(
         ((1.0 - delta) + delta * c * lam[0] ** 2)
@@ -373,16 +359,8 @@ def condition_numbers(lam, delta: float, c: float) -> tuple[float, float, float]
     return 1.0, kappa_wls, kappa_ls
 
 
-@dataclass(frozen=True)
-class Claim2Result:
-    """Constructive preconditioner factorization residual."""
-
-    relative_residual: float
-    p_matrix: np.ndarray
-
-
-def verify_claim2(a_matrix, w_matrix) -> Claim2Result:
-    """Construct P with A^T W A = P^(1/2) A^T A P^(1/2) and measure the residual.
+def verify_claim2(a_matrix, w_matrix) -> float:
+    """Construct P with A^T W A = P^(1/2) A^T A P^(1/2); return the relative residual.
 
     P extends W's eigenvalues (expressed on A's left singular basis) by
     ones on the null-space modes: P = V diag(w_eigs, 1, ..., 1) V^T.
@@ -406,12 +384,7 @@ def verify_claim2(a_matrix, w_matrix) -> Claim2Result:
     p_half = v @ np.diag(np.sqrt(extended)) @ v.T
     target = a.T @ w @ a
     residual = float(np.linalg.norm(target - p_half @ (a.T @ a) @ p_half))
-    target_norm = float(np.linalg.norm(target))
-    p_matrix = v @ np.diag(extended) @ v.T
-    return Claim2Result(
-        relative_residual=residual / max(target_norm, 1e-30),
-        p_matrix=p_matrix,
-    )
+    return residual / max(float(np.linalg.norm(target)), 1e-30)
 
 
 @dataclass(frozen=True)
@@ -443,9 +416,9 @@ def _instances(check: str, count: int):
         yield seed, rng, m, int(rng.integers(m, 11))
 
 
-def claim1_check(n_instances: int = 25) -> CheckResult:
+def claim1_check() -> CheckResult:
     """Zero sets of the preconditioned and plain gradients coincide."""
-    tol = 1e-10
+    n_instances, tol = 25, 1e-10
     for seed, rng, m, n in _instances("claim1", n_instances):
         op = DenseOperator(_random_full_rank(rng, m, n))
         delta = float(rng.uniform(0.05, 0.95))
@@ -483,7 +456,7 @@ def claim2_check(n_pairs: int = 50) -> CheckResult:
             w = np.linalg.inv(a @ a.T)
         else:
             w = 2.0 * np.eye(m)
-        rel = verify_claim2(a, w).relative_residual
+        rel = verify_claim2(a, w)
         worst = max(worst, rel)
         if rel > 1e-8:
             return CheckResult(
@@ -495,9 +468,9 @@ def claim2_check(n_pairs: int = 50) -> CheckResult:
     )
 
 
-def claim3_check(n_instances: int = 50) -> CheckResult:
+def claim3_check() -> CheckResult:
     """One guided step with mu = 1, c = 1/l_1^2 strictly reduces the WLS term."""
-    checked = 0
+    n_instances, checked = 50, 0
     for seed, rng, m, n in _instances("claim3", n_instances):
         op = DenseOperator(_random_full_rank(rng, m, n))
         lam1 = np.linalg.svd(op.matrix, compute_uv=False).max()
@@ -521,9 +494,9 @@ def claim3_check(n_instances: int = 50) -> CheckResult:
     )
 
 
-def claim4_check(n_instances: int = 50) -> CheckResult:
+def claim4_check() -> CheckResult:
     """Condition-number formula matches dense eigendecomposition; ordering strict."""
-    worst = 0.0
+    n_instances, worst = 50, 0.0
     for seed, rng, m, n in _instances("claim4", n_instances):
         lam = np.sort(rng.uniform(0.2, 2.0, size=m))[::-1]
         while lam[0] - lam[-1] < 0.05:
@@ -561,8 +534,7 @@ def claim4_check(n_instances: int = 50) -> CheckResult:
 def theorem1_check() -> CheckResult:
     """Strict orderings on each of 100 conforming instances, plus Monte-Carlo
     agreement of the closed forms within 3 standard errors (20000 draws)."""
-    n_instances, mc_draws = 100, 20000
-    worst_z = 0.0
+    n_instances, worst_z = 100, 0.0
     start = time.perf_counter()
     for i in range(n_instances):
         seed = _SEEDS["theorem1"] + i
@@ -574,8 +546,8 @@ def theorem1_check() -> CheckResult:
                 f"ordering violated at instance seed {seed}: {report}",
             )
         for mode in _MODES:
-            closed_b2, closed_v = bias_variance_closed_form(p, mode)
-            mc = mc_bias_variance(p, mode, n_draws=mc_draws, seed=seed + 7919)
+            closed_b2, closed_v = report.bias_sq[mode], report.var[mode]
+            mc = mc_bias_variance(p, mode, seed=seed + 7919)
             z_b = abs(mc.bias_sq - closed_b2) / mc.se_bias_sq
             z_v = abs(mc.var - closed_v) / mc.se_var
             z_mse = abs(mc.mse - (closed_b2 + closed_v)) / mc.se_mse
@@ -592,7 +564,7 @@ def theorem1_check() -> CheckResult:
         "theorem1", True,
         f"orderings {n_instances}/{n_instances}, Monte-Carlo agreement on "
         f"{n_instances} instances x 3 modes "
-        f"(worst |z| = {worst_z:.2f}, {mc_draws} draws, {elapsed:.1f}s)",
+        f"(worst |z| = {worst_z:.2f}, {_MC_DRAWS} draws, {elapsed:.1f}s)",
     )
 
 

@@ -633,12 +633,22 @@ class TestVerify:
         assert main(["verify", "--claims", "9"]) == 2
 
     def test_full_battery_passes(self, capsys):
-        # default Monte-Carlo draw count: the committed seed is calibrated for it
+        # each check's workload is fixed, and the committed seeds are calibrated for it
         code = main(["verify"])
         assert code == 0
         out = capsys.readouterr().out
-        for name in ("claim1", "claim2", "claim3", "claim4", "theorem1"):
-            assert f"{name}: PASS" in out
+        lines = out.splitlines()
+        workload = {
+            "claim1": "25/25 instances",
+            "claim2": "50/50 pairs",
+            "claim3": "250/250 steps",
+            "claim4": "50/50 instances",
+            "theorem1": "orderings 100/100",
+        }
+        assert [line.split(":")[0] for line in lines] == list(workload)
+        for line, (name, count) in zip(lines, workload.items()):
+            assert line.startswith(f"{name}: PASS (") and count in line
+        assert "20000 draws" in lines[-1]
 
 
 def test_ddpg_on_64px_deblurring_completes_quickly(tmp_path):

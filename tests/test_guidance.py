@@ -421,6 +421,20 @@ def test_nonpositive_ls_scale_rejected(rng, call, c):
         call(op, x, y, c)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call, name", [
+    (lambda op, x, y, bad: g_delta(op, x, y, 0.5, 0.1, bad), "c"),
+    (lambda op, x, y, bad: wls_objective(op, x, y, 0.5, 0.1, bad), "c"),
+    (lambda op, x, y, bad: guide(op, x, y, 0.5, 0.1, bad, 1.0), "c"),
+    (lambda op, x, y, bad: make_guided_step(op, y, bad), "eta"),
+], ids=["g_delta", "wls_objective", "guide", "make_guided_step"])
+def test_non_finite_setting_rejected(rng, call, name, bad):
+    # the comparison checks alone let NaN through, and the result is NaN
+    op, x, y = dense_instance(rng)
+    with pytest.raises(ValueError, match=f"{name} must be .* finite, got {bad}"):
+        call(op, x, y, bad)
+
+
 class TestSchedules:
     def test_noiseless_forces_pure_bp(self):
         delta, w = delta_schedule(np.array([0.9, 0.5, 0.1]), 7.0, 0.0)

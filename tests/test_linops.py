@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -303,6 +305,16 @@ def test_norm_matches_svd(rng, make_op):
     op = make_op(rng)
     exact = np.linalg.svd(operator_matrix(op), compute_uv=False).max()
     assert abs(op.norm - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("method", ["solve_gram", "apply_reg_pinv"])
+def test_non_finite_eta_rejected(rng, method, bad):
+    # an infinite eta would zero the solve, a NaN one would fill it with NaN
+    for op in sample_operators(rng):
+        z = rng.standard_normal(op.output_shape)
+        with pytest.raises(ValueError, match=f"eta must be nonnegative and finite, got {bad}"):
+            getattr(op, method)(z, bad)
 
 
 def test_normalized_blur_has_unit_spectral_norm():

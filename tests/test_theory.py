@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -115,31 +116,15 @@ class TestBiasVariance:
         p = small_problem(6)
         for mode in ("ls", "bp", "wls"):
             closed_b2, closed_v = bias_variance_closed_form(p, mode)
-            mc = mc_bias_variance(p, mode, n_draws=20000, seed=99)
+            mc = mc_bias_variance(p, mode, seed=99)
             assert abs(mc.bias_sq - closed_b2) <= 3.0 * mc.se_bias_sq
             assert abs(mc.var - closed_v) <= 3.0 * mc.se_var
             assert abs(mc.mse - (closed_b2 + closed_v)) <= 3.0 * mc.se_mse
-
-    @pytest.mark.parametrize("seed", [6, 7, 8])
-    def test_monte_carlo_agreement_with_eta(self, seed):
-        # the closed form must use the (lambda^2 + eta) weights that the estimator uses
-        p = dataclasses.replace(small_problem(seed), eta=0.1)
-        for mode in ("ls", "bp", "wls"):
-            closed_b2, closed_v = bias_variance_closed_form(p, mode)
-            mc = mc_bias_variance(p, mode, n_draws=20000, seed=99)
-            assert abs(mc.bias_sq - closed_b2) <= 3.0 * mc.se_bias_sq
-            assert abs(mc.var - closed_v) <= 3.0 * mc.se_var
-            assert abs(mc.mse - (closed_b2 + closed_v)) <= 3.0 * mc.se_mse
-
-    @pytest.mark.parametrize("n_draws", [0, 1])
-    def test_fewer_than_two_draws_rejected(self, n_draws):
-        with pytest.raises(ValueError, match=f"got {n_draws}$"):
-            mc_bias_variance(small_problem(6), "wls", n_draws=n_draws)
 
     def test_mse_is_bias_plus_variance(self):
         p = small_problem(7)
         b2, v = bias_variance_closed_form(p, "wls")
-        mc = mc_bias_variance(p, "wls", n_draws=20000, seed=5)
+        mc = mc_bias_variance(p, "wls", seed=5)
         assert mc.mse == pytest.approx(b2 + v, rel=0.05)
 
 
@@ -147,13 +132,16 @@ class TestTheorem1:
     def test_conforming_instance_orders_strictly(self):
         report = verify_theorem1(small_problem(8))
         assert report.passed
-        assert report.bias_sq_bp < report.bias_sq_wls < report.bias_sq_ls
-        assert report.var_ls < report.var_wls < report.var_bp
+        b2, v = report.bias_sq, report.var
+        assert b2["bp"] < b2["wls"] < b2["ls"]
+        assert v["ls"] < v["wls"] < v["bp"]
+        for mode in ("ls", "bp", "wls"):
+            assert (b2[mode], v[mode]) == bias_variance_closed_form(small_problem(8), mode)
 
     def test_delta_near_one_collapses_wls_to_ls(self):
         p = small_problem(9, delta=1.0 - 1e-9)
         report = verify_theorem1(p)
-        assert abs(report.var_wls - report.var_ls) <= 1e-6 * report.var_ls
+        assert abs(report.var["wls"] - report.var["ls"]) <= 1e-6 * report.var["ls"]
 
     def test_equal_singular_values_rejected(self, rng):
         m, n = 3, 5
@@ -176,15 +164,6 @@ class TestTheorem1:
         )
         with pytest.raises(ValueError, match=r"assumption \(b\)"):
             verify_theorem1(scaled)
-
-    def test_nonzero_eta_rejected(self):
-        p = small_problem(11)
-        with_eta = TikhonovProblem(
-            a_matrix=p.a_matrix, d_matrix=p.d_matrix, beta_prior=p.beta_prior,
-            sigma_e=p.sigma_e, x_star=p.x_star, delta=p.delta, eta=0.1,
-        )
-        with pytest.raises(ValueError, match=r"assumption \(c\)"):
-            verify_theorem1(with_eta)
 
     def test_hundred_random_instances(self):
         for i in range(100):
@@ -216,6 +195,9 @@ class TestConditionNumbers:
             condition_numbers(np.array([0.7, 0.7, 0.7]), 0.5, 1.0)
         with pytest.raises(ValueError):
             condition_numbers(np.array([1.0, -0.5]), 0.5, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                condition_numbers(np.array([bad, 0.5]), 0.5, 1.0)
         with pytest.raises(ValueError):
             condition_numbers(np.array([0.5, 1.0]), 0.5, 1.0)
 
@@ -223,21 +205,15 @@ class TestConditionNumbers:
 class TestClaim2:
     def test_identity_weight(self, rng):
         a = rng.standard_normal((3, 6))
-        result = verify_claim2(a, np.eye(3))
-        assert result.relative_residual <= 1e-12
+        assert verify_claim2(a, np.eye(3)) <= 1e-12
 
     def test_gram_inverse_weight(self, rng):
         a = rng.standard_normal((4, 9))
-        result = verify_claim2(a, np.linalg.inv(a @ a.T))
-        assert result.relative_residual <= 1e-8
+        assert verify_claim2(a, np.linalg.inv(a @ a.T)) <= 1e-8
 
     def test_scaled_identity_weight(self, rng):
         a = rng.standard_normal((3, 6))
-        result = verify_claim2(a, 2.0 * np.eye(3))
-        assert result.relative_residual <= 1e-10
-        # P extends the eigenvalues with ones on the null modes
-        eigs = np.sort(np.linalg.eigvalsh(result.p_matrix))
-        np.testing.assert_allclose(eigs, [1, 1, 1, 2, 2, 2], atol=1e-10)
+        assert verify_claim2(a, 2.0 * np.eye(3)) <= 1e-10
 
     def test_non_commuting_weight_rejected(self, rng):
         a = rng.standard_normal((4, 6))
@@ -261,5 +237,16 @@ class TestBattery:
             run_verifier_battery(["claim9"])
 
     def test_report_line_format(self):
-        line = claim4_check(n_instances=3).line()
-        assert line.startswith("claim4: PASS")
+        line = claim4_check().line()
+        assert line.startswith("claim4: PASS (50/50 instances, ")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("build, name", [
+    (lambda bad: small_problem(12, beta_prior=bad), "beta_prior"),
+    (lambda bad: small_problem(12, sigma_e=bad), "sigma_e"),
+    (lambda bad: condition_numbers(np.array([1.0, 0.5]), 0.5, bad), "c"),
+], ids=["TikhonovProblem-beta_prior", "TikhonovProblem-sigma_e", "condition_numbers-c"])
+def test_non_finite_setting_rejected(build, name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be .* finite, got {bad}"):
+        build(bad)
