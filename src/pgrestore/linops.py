@@ -19,8 +19,12 @@ are real: the 2-D real FFT and its inverse over the last two axes,
 responses on the half spectrum of ``w//2 + 1`` columns); the primitives
 and denoisers use it. Every 2-D transform is ``rfft2_into`` or
 ``irfft2_into``: the two 1-D passes of ``rfft2`` or ``irfft2``, written
-into a given array, without the n-D functions' argument handling and
-temporaries.
+into a given array without the n-D functions' temporaries. Each pass calls
+the pocketfft ufunc that ``numpy.fft`` itself calls (from the private
+``numpy.fft._pocketfft_umath``, which ``numpy.fft`` uses from numpy 2.0 on)
+with numpy's own arguments, so the results are bit-identical to
+``numpy.fft``'s without its per-call argument handling; the tests pin the
+equality.
 Each operator builds a run's guided step, ``guided_step(y, eta, c)``, the
 step of :func:`pgrestore.guidance.guide` for one measurement (the base class
 calls ``guide``). ``DownsampleConvolution`` forms it on the coarse half
@@ -40,6 +44,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 __all__ = [
     "ShapeMismatchError",
@@ -127,29 +132,41 @@ def fourier_filter(x: np.ndarray, response: np.ndarray, out=None, spectrum=None)
     return irfft2_into(spectrum, np.empty(x.shape) if out is None else out)
 
 
+# The gufunc ``axes=`` of a 1-D pass over the last axis and over the rows, as
+# numpy.fft passes them: the input's core axis, none for the factor, the output's.
+_LAST_AXIS = [(-1,), (), (-1,)]
+_ROW_AXIS = [(-2,), (), (-2,)]
+
+
 def rfft2_into(x: np.ndarray, spectrum=None) -> np.ndarray:
     """``rfft2(x, axes=(-2, -1))`` bit for bit, written into ``spectrum`` (or a fresh array).
 
-    ``rfft2``'s own 1-D passes (``rfft`` over the last axis, then ``fft`` in
-    place) without its n-D argument handling, which costs more than both on 32^2.
+    ``rfft2``'s own 1-D passes, an ``rfft`` over the last axis, then an
+    ``fft`` along the rows in place, as direct calls of the pocketfft ufuncs
+    with the factor 1 that ``numpy.fft`` passes; its Python layer costs more
+    than the transforms on 32^2.
     """
+    w = x.shape[-1]
     if spectrum is None:
-        spectrum = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=complex)
-    np.fft.rfft(x, axis=-1, out=spectrum)
-    return np.fft.fft(spectrum, axis=-2, out=spectrum)
+        spectrum = np.empty(x.shape[:-1] + (w // 2 + 1,), dtype=complex)
+    rfft = _pocketfft.rfft_n_even if w % 2 == 0 else _pocketfft.rfft_n_odd
+    rfft(x, 1, axes=_LAST_AXIS, out=spectrum)
+    return _pocketfft.fft(spectrum, 1, axes=_ROW_AXIS, out=spectrum)
 
 
 def irfft2_into(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``irfft2(spectrum, s=out.shape[-2:], axes=(-2, -1))``, written into ``out``.
+    """``irfft2(spectrum, s=out.shape[-2:], axes=(-2, -1))`` bit for bit, written into ``out``.
 
-    The same two passes as ``irfft2``, an ``ifft`` along the rows, then an
-    ``irfft`` along the columns, but the row pass runs in place, so
-    ``spectrum`` is overwritten. ``irfft2`` itself cannot write into
-    ``out``: its row pass always makes a complex temporary, and numpy 2.4's
-    ``irfft2`` hands ``out=None`` on to ``irfftn``.
+    The same two passes as ``irfft2``, an ``ifft`` along the rows with the
+    factor 1/h, then an ``irfft`` along the columns with the factor 1/w,
+    as direct calls of the pocketfft ufuncs with ``numpy.fft``'s factors.
+    The row pass runs in place, so ``spectrum`` is overwritten. ``irfft2``
+    itself cannot write into ``out``: its row pass always makes a complex
+    temporary, and numpy 2.4's ``irfft2`` hands ``out=None`` on to ``irfftn``.
     """
-    np.fft.ifft(spectrum, axis=-2, out=spectrum)
-    return np.fft.irfft(spectrum, n=out.shape[-1], axis=-1, out=out)
+    h, w = out.shape[-2:]
+    _pocketfft.ifft(spectrum, 1 / h, axes=_ROW_AXIS, out=spectrum)
+    return _pocketfft.irfft(spectrum, 1 / w, axes=_LAST_AXIS, out=out)
 
 
 def _multiply_spectrum(spectrum: np.ndarray, factor) -> None:

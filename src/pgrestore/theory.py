@@ -90,6 +90,9 @@ class TikhonovProblem:
             raise ValueError(f"D must be {n} x {n}, got {d.shape}")
         if x.shape != (n,):
             raise ValueError(f"x_star must have shape ({n},), got {x.shape}")
+        for name, arr in (("a_matrix", a), ("d_matrix", d), ("x_star", x)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} contains non-finite entries")
         if not 0.0 < self.beta_prior < math.inf:
             raise ValueError(f"beta_prior must be positive and finite, got {self.beta_prior}")
         if not 0.0 <= self.sigma_e < math.inf:

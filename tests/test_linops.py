@@ -14,6 +14,7 @@ from pgrestore.linops import (
     ShapeMismatchError,
     SingularOperatorError,
     fourier_filter,
+    irfft2_into,
     rfft2_into,
 )
 from oracles import (
@@ -335,26 +336,51 @@ def test_filter_output_owns_its_data(rng, make_output):
     assert out.base is None or out.base.nbytes == out.nbytes
 
 
-@given(
-    shape=st.sampled_from([(1,), (3,), ()]).flatmap(lambda lead: st.tuples(
-        st.just(lead), st.integers(1, 9), st.integers(1, 9))),
-    seed=st.integers(0, 2**16),
-)
-@example(shape=((1,), 4, 1), seed=0)
-@example(shape=((3,), 5, 2), seed=1)
-@example(shape=((), 6, 7), seed=2)
+# 1 and 3 channels and plain 2-D arrays, odd and even sides down to 1.
+TRANSFORM_SHAPES = st.sampled_from([(1,), (3,), ()]).flatmap(lambda lead: st.tuples(
+    st.just(lead), st.integers(1, 9), st.integers(1, 9)))
+
+
+def maybe_transposed(values, transposed):
+    """``values`` itself, or an equal strided view (a transposed copy, transposed back)."""
+    if not transposed:
+        return values
+    return np.ascontiguousarray(values.swapaxes(-2, -1)).swapaxes(-2, -1)
+
+
+@given(shape=TRANSFORM_SHAPES, transposed=st.booleans(), seed=st.integers(0, 2**16))
+@example(shape=((1,), 4, 1), transposed=False, seed=0)
+@example(shape=((3,), 5, 2), transposed=True, seed=1)
+@example(shape=((), 6, 7), transposed=True, seed=2)
 @settings(max_examples=60, deadline=None)
-def test_rfft2_into_equals_rfft2(shape, seed):
-    # The fast path against numpy's n-D reference, bit for bit: 1 and 3
-    # channels and plain 2-D arrays, odd and even sides down to 1.
+def test_rfft2_into_equals_rfft2(shape, transposed, seed):
+    # The fast path against numpy's n-D reference, bit for bit, on
+    # contiguous arrays and on strided views.
     lead, h, w = shape
-    x = np.random.default_rng(seed).standard_normal(lead + (h, w))
+    x = maybe_transposed(np.random.default_rng(seed).standard_normal(lead + (h, w)), transposed)
     spectrum = np.empty(lead + (h, w // 2 + 1), dtype=complex)
     got = rfft2_into(x, spectrum)
     assert got is spectrum
-    expected = np.fft.rfft2(x, axes=(-2, -1))
+    expected = np.ascontiguousarray(np.fft.rfft2(x, axes=(-2, -1)))
     assert np.array_equal(got.view(float), expected.view(float))
     assert np.array_equal(rfft2_into(x).view(float), expected.view(float))
+
+
+@given(shape=TRANSFORM_SHAPES, transposed=st.booleans(), seed=st.integers(0, 2**16))
+@example(shape=((1,), 4, 1), transposed=False, seed=0)
+@example(shape=((3,), 5, 2), transposed=True, seed=1)
+@example(shape=((), 6, 7), transposed=True, seed=2)
+@settings(max_examples=60, deadline=None)
+def test_irfft2_into_equals_irfft2(shape, transposed, seed):
+    # The inverse against numpy's n-D reference, bit for bit, on any half
+    # spectrum (Hermitian or not), contiguous or a strided view.
+    lead, h, w = shape
+    values = np.random.default_rng(seed).standard_normal(lead + (h, w // 2 + 1, 2))
+    spectrum = maybe_transposed(values.view(complex)[..., 0], transposed)
+    expected = np.fft.irfft2(spectrum, s=(h, w), axes=(-2, -1))
+    out = np.empty(lead + (h, w))
+    assert irfft2_into(spectrum, out) is out
+    assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("shape", [(1, 12, 10), (3, 9, 11), (2, 8, 1), (1, 5, 2)])

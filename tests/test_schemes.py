@@ -372,13 +372,14 @@ def test_fft_calls_per_iteration(monkeypatch, method, task, per_iteration):
 
 @pytest.mark.parametrize("method", ["idpg", "ddpg"])
 @pytest.mark.parametrize("task", ["deblur", "sr2", "inpaint"])
-def test_no_numpy_2d_transform_in_a_run(monkeypatch, method, task):
-    # Every 2-D transform, from the operator's construction to the last
-    # step, goes through linops.rfft2_into and linops.irfft2_into.
+def test_no_numpy_fft_transform_in_a_run(monkeypatch, method, task):
+    # Every transform, from the operator's construction to the last step,
+    # goes through linops.rfft2_into and linops.irfft2_into, which call the
+    # pocketfft ufuncs directly: no numpy.fft transform function, 2-D or 1-D.
     def forbidden(*args, **kwargs):
-        raise AssertionError("numpy's 2-D FFT called")
+        raise AssertionError("a numpy.fft transform function called")
 
-    for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+    for name in ("fft2", "ifft2", "rfft2", "irfft2", "rfft", "fft", "ifft", "irfft"):
         monkeypatch.setattr(np.fft, name, forbidden)
     shape = (1, 32, 32)
     prior = WienerPrior.smooth_default(shape[1:], amplitude=16.0)

@@ -250,3 +250,15 @@ class TestBattery:
 def test_non_finite_setting_rejected(build, name, bad):
     with pytest.raises(ValueError, match=f"{name} must be .* finite, got {bad}"):
         build(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["a_matrix", "d_matrix", "x_star"])
+def test_non_finite_entry_rejected(name, bad):
+    # A NaN x_star would give a NaN bias, and a NaN A would pass the
+    # commutator check (nan > tol is False).
+    problem = small_problem(12)
+    changed = getattr(problem, name).copy()
+    changed.flat[0] = bad
+    with pytest.raises(ValueError, match=f"{name} contains non-finite entries"):
+        dataclasses.replace(problem, **{name: changed})
