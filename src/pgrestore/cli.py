@@ -25,7 +25,7 @@ import numpy as np
 
 from . import io
 from .denoisers import WienerPrior, make_denoiser
-from .linops import CircularConvolution, DownsampleConvolution, Mask, as_image
+from .linops import CircularConvolution, DownsampleConvolution, Mask, _check_finite, as_image
 from .metrics import NoiseSpec, degrade, mse, psnr
 from .schemes import make_ddpm_schedule, make_scheme_config, run_scheme
 
@@ -55,18 +55,21 @@ DEGRADE_OPTIONS = {
 
 # The operator comes from the measurement's sidecar, the beta schedule is
 # DDPM's and the LS scale is derived from ||A||; these are the run's settings.
+_SCHEME_DEFAULTS = make_scheme_config.__kwdefaults__  # declared there only
 RESTORE_OPTIONS = {
     "measurement": (str, None, "measurement tensor (.pgt); its sidecar is <measurement>.meta"),
     "output": (str, None, "restored tensor (.pgt)"),
     "method": (str, "ddpg", "idpg | idbp | pgm_ls | ddpg"),
     "denoiser": (denoiser_spec, "wiener", "identity | wiener | gauss[:kappa] | external:CMD"),
     "sigma_e": (float, None, "noise level (default: the sidecar's)"),
-    "gamma": (float, 8.0, "BP-to-LS mix exponent, delta_t = alpha_bar_t ** gamma"),
-    "zeta": (float, 0.5, "DDPG share of fresh noise, in [0, 1]"),
-    "eta_tilde": (float, 0.7, "BP regularizer scale, eta = (2 sigma_e)^2 eta_tilde"),
+    "gamma": (float, _SCHEME_DEFAULTS["gamma"],
+              "BP-to-LS mix exponent, delta_t = alpha_bar_t ** gamma"),
+    "zeta": (float, _SCHEME_DEFAULTS["zeta"], "DDPG share of fresh noise, in [0, 1]"),
+    "eta_tilde": (float, _SCHEME_DEFAULTS["eta_tilde"],
+                  "BP regularizer scale, eta = (2 sigma_e)^2 eta_tilde"),
     "T": (int, 100, "number of iterations"),
-    "seed": (int, 0, "DDPG random seed"),
-    "step_size_policy": (str, "unit", "unit | ddim-ratio"),
+    "seed": (int, _SCHEME_DEFAULTS["seed"], "DDPG random seed"),
+    "step_size_policy": (str, _SCHEME_DEFAULTS["step_size_policy"], "unit | ddim-ratio"),
     "export_image": (str, None, "8-bit image export path"),
 }
 
@@ -224,8 +227,7 @@ def cmd_restore(args) -> int:
 
     op = _build_operator(sidecar, image_shape)
     y = io.read_tensor(meas_file)
-    if not np.isfinite(y).all():
-        raise ValueError(f"{meas_file}: measurement contains non-finite values")
+    _check_finite(f"{meas_file}: measurement", y)
     y = _fit_measurement(y, op, meas_file)
     # Unit-range images: smooth default prior around a 0.5 gray mean.
     prior = WienerPrior(spectrum=WienerPrior.smooth_default(image_shape[1:]).spectrum, mean=0.5)
@@ -266,8 +268,7 @@ def cmd_eval(args) -> int:
     psnrs, mses = [], []
     for restored_path, reference_path in zip(args.restored, args.reference):
         restored = io.read_tensor(_require_file(restored_path, "restored file"))
-        if not np.isfinite(restored).all():
-            raise ValueError(f"{restored_path}: restored tensor contains non-finite values")
+        _check_finite(f"{restored_path}: restored tensor", restored)
         reference = _read_source(reference_path)
         restored = np.clip(restored, 0.0, 1.0)
         value_psnr = psnr(restored, reference)

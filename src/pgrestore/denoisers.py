@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .io import read_tensor, write_tensor
-from .linops import fourier_filter, rfft2_into
+from .linops import _check_setting, fourier_filter, rfft2_into
 
 __all__ = [
     "Identity",
@@ -47,7 +47,7 @@ class Identity:
     """Returns the input unchanged for every noise level."""
 
     def __call__(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        _check_sigma(sigma)
+        _check_setting("sigma", sigma)
         return x
 
 
@@ -60,12 +60,11 @@ class GaussianSmooth:
     """
 
     def __init__(self, kappa: float = 1.0):
-        if not 0 < kappa < np.inf:
-            raise ValueError(f"kappa must be positive and finite, got {kappa}")
+        _check_setting("kappa", kappa, "(0, inf)")
         self.kappa = float(kappa)
 
     def __call__(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        _check_sigma(sigma)
+        _check_setting("sigma", sigma)
         h = self.kappa * sigma
         if h < 1e-12:
             return x
@@ -149,7 +148,7 @@ class WienerMMSE:
         self._work = threading.local()
 
     def __call__(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        _check_sigma(sigma)
+        _check_setting("sigma", sigma)
         if sigma == 0.0:
             return x
         prior = self.prior
@@ -193,7 +192,7 @@ class ExternalDenoiser:
     def __call__(self, x: np.ndarray, sigma: float) -> np.ndarray:
         import subprocess  # only here: a worker that imports this module never spawns
 
-        _check_sigma(sigma)
+        _check_setting("sigma", sigma)
         workspace = Path(tempfile.mkdtemp(prefix="pgrestore-denoise-"))
         try:
             in_path = workspace / "input.pgt"
@@ -225,11 +224,6 @@ class ExternalDenoiser:
             return out
         finally:
             shutil.rmtree(workspace, ignore_errors=True)
-
-
-def _check_sigma(sigma: float) -> None:
-    if not 0.0 <= sigma < np.inf:  # NaN fails too
-        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
 
 
 def make_denoiser(spec: str, prior: WienerPrior):

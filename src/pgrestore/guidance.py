@@ -32,11 +32,9 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .linops import LinearOperator, _check_shape
+from .linops import LinearOperator, _check_setting, _check_shape
 
 __all__ = [
     "ETA_FLOOR",
@@ -61,10 +59,8 @@ def _weighted_residual(op: LinearOperator, x, y, delta: float, eta: float, c: fl
     Gram solve and at delta = 1 exactly c r. Rejects delta outside [0, 1]
     and c outside (0, inf), for which W is not a valid weighting.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if not 0.0 < c < math.inf:
-        raise ValueError(f"c must be positive and finite, got {c}")
+    _check_setting("delta", delta, "[0, 1]")
+    _check_setting("c", c, "(0, inf)")
     r = op.apply(x) - np.asarray(y, dtype=float)
     if delta == 0.0:
         return r, op.solve_gram(r, eta)
@@ -115,8 +111,7 @@ def make_guided_step(op: LinearOperator, y, eta: float):
     """
     y = np.asarray(y, dtype=float)
     _check_shape("measurement", y, op.output_shape)
-    if not 0.0 <= eta < math.inf:
-        raise ValueError(f"eta must be nonnegative and finite, got {eta}")
+    _check_setting("eta", eta)
     return op.guided_step(y, eta, default_ls_scale(op))
 
 
@@ -133,10 +128,8 @@ def delta_schedule(alpha_bar, gamma: float, sigma_e: float):
         raise ValueError("alpha_bar values must lie in (0, 1]")
     if np.any(np.diff(alpha_bar) > 0):
         raise ValueError("alpha_bar must be non-increasing in t")
-    if not 0.0 <= gamma < math.inf:
-        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
-    if not 0.0 <= sigma_e < math.inf:
-        raise ValueError(f"sigma_e must be nonnegative and finite, got {sigma_e}")
+    _check_setting("gamma", gamma)
+    _check_setting("sigma_e", sigma_e)
     if sigma_e > 0:
         delta = np.clip(alpha_bar**gamma, 0.0, 1.0)
         return delta, delta.copy()
@@ -145,9 +138,8 @@ def delta_schedule(alpha_bar, gamma: float, sigma_e: float):
 
 def eta_from_noise(sigma_e: float, eta_tilde: float) -> float:
     """BP regularizer scaled by the observation noise: max(1e-4, (2 sigma_e)^2 eta_tilde)."""
-    if not (0.0 <= sigma_e < math.inf and 0.0 <= eta_tilde < math.inf):
-        raise ValueError(f"sigma_e and eta_tilde must be nonnegative and finite, "
-                         f"got {sigma_e} and {eta_tilde}")
+    _check_setting("sigma_e", sigma_e)
+    _check_setting("eta_tilde", eta_tilde)
     return max(ETA_FLOOR, (2.0 * sigma_e) ** 2 * eta_tilde)
 
 

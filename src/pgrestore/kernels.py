@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linops import _check_setting
+
 __all__ = ["delta_kernel", "gaussian_kernel", "bicubic_kernel"]
 
 # Keys' cubic-convolution parameter; -0.5 makes the interpolant third-order accurate.
@@ -12,8 +14,7 @@ _KEYS_A = -0.5
 
 def delta_kernel(size: int = 1) -> np.ndarray:
     """Centered unit impulse; circular convolution with it is the identity."""
-    if size < 1 or size % 2 == 0:
-        raise ValueError("size must be a positive odd integer")
+    _check_setting("size", size, "{1, 3, ...}")
     k = np.zeros((size, size))
     k[size // 2, size // 2] = 1.0
     return k
@@ -25,10 +26,8 @@ def gaussian_kernel(size: int, std: float) -> np.ndarray:
     Clipping truncates the tails, so the taps are renormalized to sum to 1
     (keeps the blur mean-preserving).
     """
-    if size < 1 or size % 2 == 0:
-        raise ValueError("size must be a positive odd integer")
-    if std <= 0:
-        raise ValueError("std must be positive")
+    _check_setting("size", size, "{1, 3, ...}")
+    _check_setting("std", std, "(0, inf)")
     ax = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / (2.0 * std**2))
     return g / g.sum()
@@ -52,9 +51,7 @@ def bicubic_kernel(scale: int) -> np.ndarray:
     stretched by the scale factor), sampled symmetrically about the
     geometric center and normalized to unit sum.
     """
-    scale = int(scale)
-    if scale < 1:
-        raise ValueError("scale must be a positive integer")
+    _check_setting("scale", scale, "{1, 2, ...}")
     size = 4 * scale
     offsets = (np.arange(size) - (size - 1) / 2.0) / scale
     taps = _keys_cubic(offsets)

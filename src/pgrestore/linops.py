@@ -77,6 +77,35 @@ class SingularOperatorError(ValueError):
     """The Gram operator A A^T cannot be inverted with eta = 0."""
 
 
+# Each domain: low, high, both ends open, the step of a count (a count must be a Python
+# or numpy integer, so no float is truncated) or None, and what a value outside must do.
+# NaN and +-inf lie in no domain.
+_DOMAINS = {
+    "[0, inf)": (0, math.inf, False, None, "be nonnegative and finite"),
+    "(0, inf)": (0, math.inf, True, None, "be positive and finite"),
+    "[0, 1]": (0, 1, False, None, "lie in [0, 1]"),
+    "(0, 1)": (0, 1, True, None, "lie strictly inside (0, 1)"),
+    "{0, 1, ...}": (0, math.inf, False, 1, "be nonnegative"),
+    "{1, 2, ...}": (1, math.inf, False, 1, "be at least 1"),
+    "{1, 3, ...}": (1, math.inf, False, 2, "be a positive odd integer"),
+}
+
+
+def _check_setting(name: str, value, domain: str = "[0, inf)") -> None:
+    """The check of every numeric setting: a ValueError ``<name> must ..., got <value>``."""
+    low, high, strict, step, requirement = _DOMAINS[domain]
+    if step and not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    valid = low < value < high if strict else low <= value <= high
+    if not (valid and ((value - low) % step == 0 if step else math.isfinite(value))):
+        raise ValueError(f"{name} must {requirement}, got {value}")
+
+
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+
+
 def as_image(x) -> np.ndarray:
     """Coerce to a float (channels, height, width) array and validate it.
 
@@ -88,8 +117,7 @@ def as_image(x) -> np.ndarray:
         raise ShapeMismatchError(
             f"expected a (channels, height, width) array, got shape {arr.shape}"
         )
-    if not np.isfinite(arr).all():
-        raise ValueError("image contains non-finite entries")
+    _check_finite("image", arr)
     return arr
 
 
@@ -247,8 +275,7 @@ class LinearOperator:
         """Measurement-space solve (A A^T + eta I)^-1 r."""
         r = np.asarray(r, dtype=float)
         _check_shape("measurement", r, self.output_shape)
-        if not 0.0 <= eta < math.inf:
-            raise ValueError(f"eta must be nonnegative and finite, got {eta}")
+        _check_setting("eta", eta)
         return self._solve_gram(r, float(eta))
 
     def apply_reg_pinv(self, z: np.ndarray, eta: float) -> np.ndarray:
@@ -292,13 +319,10 @@ class DownsampleConvolution(LinearOperator):
         kernel = np.array(kernel, dtype=float)
         if kernel.ndim != 2:
             raise ValueError("kernel must be 2-D")
-        if not np.isfinite(kernel).all():
-            raise ValueError("kernel contains non-finite entries")
+        _check_finite("kernel", kernel)
         if not kernel.any():
             raise ValueError(f"kernel {kernel.shape} has no nonzero tap, so A = 0")
-        scale = int(scale)
-        if scale < 1:
-            raise ValueError(f"scale must be a positive integer, got {scale}")
+        _check_setting("scale", scale, "{1, 2, ...}")
         if len(image_shape) != 3:
             raise ValueError("image_shape must be (channels, height, width)")
         c, h, w = (int(s) for s in image_shape)
@@ -309,7 +333,6 @@ class DownsampleConvolution(LinearOperator):
         self.input_shape = (c, h, w)
         self.output_shape = (c, h // scale, w // scale)
         self.scale = scale
-        self.kernel = _freeze(kernel)
         self._response = _freeze(_kernel_response(kernel, (h, w)))
         power = _full_width(np.abs(self._response) ** 2, np.empty((h, w)))
         gram = power.reshape(scale, h // scale, scale, w // scale).sum(axis=(0, 2)) / scale**2
@@ -470,7 +493,6 @@ class Mask(LinearOperator):
         if kept == 0:
             raise ValueError("mask keeps no pixels")
         self.mask = _freeze(mask)
-        self.kept = kept
         self.input_shape = (c, h, w)
         self.output_shape = (c, kept)
 
@@ -523,8 +545,7 @@ class DenseOperator(LinearOperator):
         matrix = np.array(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-D")
-        if not np.isfinite(matrix).all():
-            raise ValueError("matrix contains non-finite entries")
+        _check_finite("matrix", matrix)
         m, n = matrix.shape
         if n > DENSE_SIZE_CAP:
             raise ValueError(f"dense operators are capped at n <= {DENSE_SIZE_CAP}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import LinearOperator, ShapeMismatchError
+from .linops import LinearOperator, ShapeMismatchError, _check_setting
 
 __all__ = ["NoiseSpec", "degrade", "mse", "psnr"]
 
@@ -20,10 +20,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma_e < math.inf:
-            raise ValueError(f"sigma_e must be nonnegative and finite, got {self.sigma_e}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_setting("sigma_e", self.sigma_e)
+        _check_setting("seed", self.seed, "{0, 1, ...}")
 
 
 def degrade(op: LinearOperator, x_star: np.ndarray, noise: NoiseSpec) -> np.ndarray:

@@ -29,8 +29,8 @@ Conventions baked in here and surfaced in the docstrings:
   initial draw first, then one fresh-noise draw per iteration (drawn
   even when its weight is zero), so runs are reproducible bit for bit.
 * A denoiser output that is non-finite or not of the image's shape, or
-  a non-finite objective or residual around the guided step, raises
-  RuntimeError naming t and the stage (denoise or guide).
+  an objective or residual that the guided step makes non-finite or raises,
+  raises RuntimeError naming t and the stage (denoise or guide).
 
 A DDPG run on a large image makes its fresh draws in one worker thread,
 one iteration ahead, and joins it before it returns or raises. The
@@ -51,7 +51,7 @@ import numpy as np
 from .guidance import delta_schedule, eta_from_noise, make_guided_step, mu_schedule
 # Unused here; perfbench/spans.py patches both names on this module and fails without them.
 from .guidance import g_delta, wls_objective  # noqa: F401
-from .linops import LinearOperator
+from .linops import LinearOperator, _check_setting
 
 __all__ = [
     "DiffusionSchedule",
@@ -73,6 +73,10 @@ METHODS = ("idpg", "idbp", "pgm_ls", "ddpg")
 Denoiser = Callable[[np.ndarray, float], np.ndarray]
 
 _MONOTONE_SLACK = 1e-12
+# No guided step raises the data term (see ``guidance``), but near a solution the
+# rounding of ``guide`` can, by more than the term itself. So the loop allows a rise of
+# this share of the term's largest value in the run or at x = 0 (with W = I).
+_DESCENT_SLACK = 1e-9
 
 # Fresh draws of at least this many values are made one iteration ahead in a
 # worker thread; a smaller draw costs less than the handoff and stays inline.
@@ -112,17 +116,13 @@ class DiffusionSchedule:
 
 def make_ddpm_schedule(T: int) -> DiffusionSchedule:
     """DDPM's T linearly spaced betas, 1e-4 to 0.02; build others with ``DiffusionSchedule``."""
-    if T < 1:
-        raise ValueError(f"T must be at least 1, got {T}")
+    _check_setting("T", T, "{1, 2, ...}")
     return DiffusionSchedule(beta=np.linspace(1e-4, 0.02, T))
 
 
 def eps_effective(x_t: np.ndarray, x_clean: np.ndarray, alpha_bar_t: float) -> np.ndarray:
     """Noise implied by a clean estimate: (x_t - sqrt(abar) x_clean) / sqrt(1 - abar)."""
-    if not 0.0 < alpha_bar_t < 1.0:
-        raise ValueError(
-            f"alpha_bar_t must lie strictly inside (0, 1), got {alpha_bar_t}"
-        )
+    _check_setting("alpha_bar_t", alpha_bar_t, "(0, 1)")
     out = np.multiply(np.sqrt(alpha_bar_t), x_clean)
     np.subtract(x_t, out, out=out)
     return np.divide(out, np.sqrt(1.0 - alpha_bar_t), out=out)
@@ -147,8 +147,8 @@ class SchemeConfig:
     mu: np.ndarray
     delta: np.ndarray
     w: np.ndarray
-    zeta: float = 0.5
-    seed: int = 0
+    zeta: float
+    seed: int
 
     def __post_init__(self):
         T = self.schedule.T
@@ -159,9 +159,7 @@ class SchemeConfig:
             object.__setattr__(self, name, values)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        # Each range check is written so that NaN fails it.
-        if not 0.0 <= self.eta < math.inf:
-            raise ValueError(f"eta must be nonnegative and finite, got {self.eta}")
+        _check_setting("eta", self.eta)
         # The ddim-ratio policy yields mu = 0 at t = 1, so zero is allowed.
         for name, what in (("mu", "step sizes"), ("delta", "delta values"),
                            ("w", "effective-noise weights")):
@@ -174,10 +172,8 @@ class SchemeConfig:
             raise ValueError("idbp requires delta identically 0")
         if self.method == "pgm_ls" and np.any(self.delta != 1.0):
             raise ValueError("pgm_ls requires delta identically 1")
-        if not 0.0 <= self.zeta <= 1.0:
-            raise ValueError(f"zeta must lie in [0, 1], got {self.zeta}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_setting("zeta", self.zeta, "[0, 1]")
+        _check_setting("seed", self.seed, "{0, 1, ...}")
 
     @property
     def T(self) -> int:
@@ -219,7 +215,7 @@ def make_scheme_config(
         delta=delta,
         w=w,
         zeta=float(zeta),
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -245,8 +241,8 @@ class RunTrace:
                                       for t, d, o, r in rows))
 
 
-def _loop(denoiser, step, cfg: SchemeConfig, x, renoise=None):
-    """Denoise, guide, record and re-noise for t = T, ..., 1, from start point x.
+def _loop(denoiser, step, cfg: SchemeConfig, x, y, renoise=None):
+    """Denoise, guide, record and re-noise for t = T, ..., 1, from x, for measurement y.
 
     Without ``renoise`` (IDPG) the denoiser sees x and the guided estimate
     is the next iterate; with it (DDPG) the denoiser sees x_t / sqrt(abar_t)
@@ -256,7 +252,9 @@ def _loop(denoiser, step, cfg: SchemeConfig, x, renoise=None):
     # Python floats, read once per run: indexing the arrays costs more per iteration.
     sigmas = np.sqrt((1.0 - alpha_bar) / alpha_bar).tolist()
     sqrt_abar, deltas, mus = np.sqrt(alpha_bar).tolist(), cfg.delta.tolist(), cfg.mu.tolist()
-    rows = []
+    flat = np.ravel(y)  # a view, summed by einsum: no temporary and no BLAS call
+    y_sq = float(np.einsum("i,i->", flat, flat))
+    rows, peak_obj, peak_res = [], 0.5 * y_sq, math.sqrt(y_sq)
     for t in range(cfg.T, 0, -1):
         try:
             x0 = np.asarray(denoiser(x if renoise is None else x / sqrt_abar[t], sigmas[t]),
@@ -270,9 +268,13 @@ def _loop(denoiser, step, cfg: SchemeConfig, x, renoise=None):
             raise RuntimeError(f"non-finite iterate at iteration t={t}, stage denoise")
         delta_t = deltas[t - 1]
         x_guided, *numbers = step(x0, delta_t, mus[t - 1])
-        if not all(map(math.isfinite, numbers)):
+        objective, residual, objective_after, residual_after = numbers
+        peak_obj, peak_res = max(peak_obj, objective), max(peak_res, residual)
+        if not all(map(math.isfinite, numbers)) or (
+                objective_after - objective > _DESCENT_SLACK * peak_obj
+                or residual_after - residual > _DESCENT_SLACK * peak_res):
             raise RuntimeError(
-                f"non-finite iterate at iteration t={t}, stage guide "
+                f"non-finite or rising data term at iteration t={t}, stage guide "
                 f"(objective, residual before and after: {numbers})")
         rows.append((t, delta_t, *numbers))
         if renoise is None:
@@ -291,7 +293,7 @@ def idpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
     """
     y = np.asarray(y, dtype=float)
     step = make_guided_step(op, y, cfg.eta)
-    return _loop(denoiser, step, cfg, op.apply_reg_pinv(y, cfg.eta))
+    return _loop(denoiser, step, cfg, op.apply_reg_pinv(y, cfg.eta), y)
 
 
 @contextmanager
@@ -352,7 +354,7 @@ def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
             np.multiply(np.sqrt(abar_prev), x_guided, out=x)
             x += noise
 
-        return _loop(denoiser, step, cfg, x, renoise)
+        return _loop(denoiser, step, cfg, x, y, renoise)
 
 
 def run_scheme(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .guidance import g_delta, guide
-from .linops import DenseOperator
+from .linops import DenseOperator, _check_finite, _check_setting
 
 __all__ = [
     "TikhonovProblem",
@@ -91,14 +91,10 @@ class TikhonovProblem:
         if x.shape != (n,):
             raise ValueError(f"x_star must have shape ({n},), got {x.shape}")
         for name, arr in (("a_matrix", a), ("d_matrix", d), ("x_star", x)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite entries")
-        if not 0.0 < self.beta_prior < math.inf:
-            raise ValueError(f"beta_prior must be positive and finite, got {self.beta_prior}")
-        if not 0.0 <= self.sigma_e < math.inf:
-            raise ValueError(f"sigma_e must be nonnegative and finite, got {self.sigma_e}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
+            _check_finite(name, arr)
+        _check_setting("beta_prior", self.beta_prior, "(0, inf)")
+        _check_setting("sigma_e", self.sigma_e)
+        _check_setting("delta", self.delta, "[0, 1]")
         dtd = d.T @ d
         if np.linalg.eigvalsh(dtd).min() <= 1e-12:
             raise ValueError("D^T D must be positive definite")
@@ -319,8 +315,7 @@ def verify_theorem1(p: TikhonovProblem) -> TheoremReport:
         raise ValueError("assumption (b) violated: singular values must lie in (0, 1]")
     if lam.max() - lam.min() < 1e-12:
         raise ValueError("assumption (b) violated: singular values must not all be equal")
-    if not 0.0 < p.delta < 1.0:
-        raise ValueError("delta must lie strictly inside (0, 1)")
+    _check_setting("delta", p.delta, "(0, 1)")
     b2, v = {}, {}
     for mode in _MODES:
         b2[mode], v[mode] = bias_variance_closed_form(p, mode)
@@ -350,10 +345,8 @@ def condition_numbers(lam, delta: float, c: float) -> tuple[float, float, float]
         raise ValueError("singular values must be sorted in decreasing order")
     if lam[0] - lam[-1] < 1e-15:
         raise ValueError("degenerate singular values: must not all be equal")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if not 0.0 < c < math.inf:
-        raise ValueError(f"c must be positive and finite, got {c}")
+    _check_setting("delta", delta, "[0, 1]")
+    _check_setting("c", c, "(0, inf)")
     kappa_ls = float(lam[0] ** 2 / lam[-1] ** 2)
     kappa_wls = float(
         ((1.0 - delta) + delta * c * lam[0] ** 2)
@@ -448,6 +441,7 @@ def claim1_check() -> CheckResult:
 
 def claim2_check(n_pairs: int = 50) -> CheckResult:
     """Constructive P reproduces A^T W A to relative 1e-8."""
+    _check_setting("n_pairs", n_pairs, "{1, 2, ...}")
     worst = 0.0
     for i, (seed, rng, m, n) in enumerate(_instances("claim2", n_pairs)):
         a = _random_full_rank(rng, m, n)

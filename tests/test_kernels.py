@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,15 +32,22 @@ def test_bicubic_support_is_four_times_the_scale(scale):
     assert bicubic_kernel(scale).shape == (4 * scale, 4 * scale)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: gaussian_kernel(4, 1.0),
-    lambda: gaussian_kernel(0, 1.0),
-    lambda: gaussian_kernel(5, 0.0),
-    lambda: gaussian_kernel(5, -1.0),
-    lambda: delta_kernel(2),
-    lambda: bicubic_kernel(0),
+@pytest.mark.parametrize("make, name", [
+    (lambda: gaussian_kernel(4, 1.0), "size"),
+    (lambda: gaussian_kernel(0, 1.0), "size"),
+    (lambda: gaussian_kernel(5, 0.0), "std"),
+    (lambda: gaussian_kernel(5, -1.0), "std"),
+    (lambda: delta_kernel(2), "size"),
+    (lambda: bicubic_kernel(0), "scale"),
+    (lambda: gaussian_kernel(3, math.inf), "std"),
+    (lambda: gaussian_kernel(3, math.nan), "std"),
+    (lambda: gaussian_kernel(3.5, 1.0), "size"),
+    (lambda: delta_kernel(3.0), "size"),
+    (lambda: bicubic_kernel(2.5), "scale"),
 ], ids=["gauss-even", "gauss-zero-size", "gauss-zero-std", "gauss-negative-std",
-        "delta-even", "bicubic-scale-zero"])
-def test_invalid_arguments_rejected(make):
-    with pytest.raises(ValueError):
+        "delta-even", "bicubic-scale-zero", "gauss-inf-std", "gauss-nan-std",
+        "gauss-fractional-size", "delta-float-size", "bicubic-fractional-scale"])
+def test_invalid_arguments_rejected(make, name):
+    # unchecked, an inf std gives a box blur, size 3.5 a 4 x 4 kernel and scale 2.5 scale 2
+    with pytest.raises(ValueError, match=f"^{name} must "):
         make()

@@ -268,6 +268,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="no nonzero tap"):
             make_op()
 
+    @pytest.mark.parametrize("scale, message", [
+        (2.5, "scale must be an integer, got 2.5"),
+        (0, "scale must be at least 1, got 0"),
+    ], ids=["fraction", "zero"])
+    def test_bad_scale_rejected(self, scale, message):
+        # a scale is not truncated: 2.5 would otherwise run at scale 2
+        with pytest.raises(ValueError, match=message):
+            DownsampleConvolution(bicubic_kernel(2), scale, SHAPE)
+
     def test_sr_requires_divisible_sides(self):
         with pytest.raises(ValueError):
             DownsampleConvolution(bicubic_kernel(3), 3, SHAPE)

@@ -45,6 +45,12 @@ class TestDegrade:
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             NoiseSpec(0.0, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, math.nan])
+    def test_non_integer_seed_rejected(self, seed):
+        # numpy would reject it only when noise is drawn, with a TypeError naming no setting
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}"):
+            NoiseSpec(0.0, seed=seed)
+
     @pytest.mark.parametrize("sigma_e", [math.nan, math.inf])
     def test_non_finite_sigma_rejected(self, sigma_e):
         # NaN passes a bare `sigma_e < 0`, and degrade then adds no noise

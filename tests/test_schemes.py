@@ -12,7 +12,7 @@ import pgrestore.schemes as schemes
 from pgrestore.denoisers import Identity, WienerMMSE, WienerPrior
 from pgrestore.guidance import make_guided_step
 from pgrestore.kernels import bicubic_kernel, delta_kernel, gaussian_kernel
-from pgrestore.linops import CircularConvolution, DownsampleConvolution, Mask
+from pgrestore.linops import CircularConvolution, DenseOperator, DownsampleConvolution, Mask
 from pgrestore.metrics import NoiseSpec, degrade, psnr
 from pgrestore.schemes import (
     DiffusionSchedule,
@@ -57,6 +57,8 @@ class TestSchedule:
         for T in (0, -3):
             with pytest.raises(ValueError, match="T must be at least 1"):
                 make_ddpm_schedule(T)
+        with pytest.raises(ValueError, match="T must be an integer, got 2.5"):
+            make_ddpm_schedule(2.5)
 
     def test_alpha_bar_derived_from_beta(self):
         beta = np.array([0.1, 0.2])
@@ -132,6 +134,12 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             make_scheme_config("ddpg", sched, 0.05, zeta=1.5)
 
+    @pytest.mark.parametrize("seed", [2.7, math.nan])
+    def test_fractional_seed_rejected(self, seed):
+        # a seed is not truncated: 2.7 would otherwise seed the run with 2
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed}"):
+            make_scheme_config("ddpg", make_ddpm_schedule(5), 0.05, seed=seed)
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             make_scheme_config("magic", make_ddpm_schedule(5), 0.0)
@@ -139,7 +147,7 @@ class TestSchemeConfig:
     def test_config_validation(self):
         sched = make_ddpm_schedule(3)
         good = dict(method="idpg", schedule=sched, eta=0.1, mu=np.ones(3),
-                    delta=np.array([0.9, 0.5, 0.1]), w=np.ones(3))
+                    delta=np.array([0.9, 0.5, 0.1]), w=np.ones(3), zeta=0.5, seed=0)
         assert SchemeConfig(**good).T == 3
         for bad, message in (
             (dict(eta=-1.0), "eta must be nonnegative"),
@@ -160,11 +168,13 @@ class TestSchemeConfig:
         (dict(delta=np.array([math.nan, 0.5, 0.1])), "delta values"),
         (dict(w=np.array([1.0, math.nan, 1.0])), "effective-noise weights"),
         (dict(w=np.array([1.0, 1.5, 1.0])), "effective-noise weights"),
-    ], ids=["eta-nan", "eta-inf", "mu-nan", "delta-nan", "w-nan", "w-above-one"])
+        (dict(seed=2.7), "seed must be an integer, got 2.7"),
+        (dict(seed=math.nan), "seed must be an integer, got nan"),
+    ], ids=["eta-nan", "eta-inf", "mu-nan", "delta-nan", "w-nan", "w-above-one",
+            "seed-fraction", "seed-nan"])
     def test_config_rejects_non_finite_values(self, bad, message):
-        # comparisons are false for NaN, so each range check is written to fail it
         good = dict(method="idpg", schedule=make_ddpm_schedule(3), eta=0.1, mu=np.ones(3),
-                    delta=np.array([0.9, 0.5, 0.1]), w=np.ones(3))
+                    delta=np.array([0.9, 0.5, 0.1]), w=np.ones(3), zeta=0.5, seed=0)
         with pytest.raises(ValueError, match=message):
             SchemeConfig(**{**good, **bad})
 
@@ -326,6 +336,21 @@ def test_no_guided_step_raises_the_data_term(kind, gain, method, policy, seed):
     slack = 1.0 + 1e-12
     assert np.all(trace.objective_after <= trace.objective * slack)
     assert np.all(trace.residual_after <= trace.residual * slack)
+
+
+def test_step_that_raises_the_data_term_names_iteration_and_stage():
+    # A norm half the true ||A|| makes c four times too large: with A = 4 I
+    # each LS step (the generic guide path) triples the residual.
+    class HalfNorm(DenseOperator):
+        @property
+        def norm(self):
+            return 0.5 * super().norm
+
+    op = HalfNorm(4.0 * np.eye(16), input_shape=(1, 4, 4), output_shape=(16,))
+    y = np.random.default_rng(0).standard_normal(16)
+    cfg = make_scheme_config("pgm_ls", make_ddpm_schedule(5), 0.0)
+    with pytest.raises(RuntimeError, match=r"rising data term at iteration t=5, stage guide"):
+        run_scheme(Identity(), op, y, cfg)
 
 
 @pytest.mark.parametrize("method", ["idpg", "ddpg"])

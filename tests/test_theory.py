@@ -236,6 +236,12 @@ class TestBattery:
         with pytest.raises(ValueError, match="unknown check"):
             run_verifier_battery(["claim9"])
 
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_claim2_needs_a_pair(self, n_pairs):
+        # no pairs would print PASS (0/0 pairs)
+        with pytest.raises(ValueError, match=f"n_pairs must be at least 1, got {n_pairs}"):
+            claim2_check(n_pairs)
+
     def test_report_line_format(self):
         line = claim4_check().line()
         assert line.startswith("claim4: PASS (50/50 instances, ")
