@@ -224,6 +224,8 @@ def cmd_restore(args) -> int:
                          f"{', '.join(missing)}, which degrade writes")
     image_shape = tuple(_convert(int, key, sidecar[key], sidecar_path)
                         for key in SIDECAR_SHAPE_KEYS)
+    if min(image_shape) < 1:
+        raise ValueError(f"{sidecar_path}: image shape {image_shape} has a side below 1")
 
     op = _build_operator(sidecar, image_shape)
     y = io.read_tensor(meas_file)
@@ -233,16 +235,8 @@ def cmd_restore(args) -> int:
     prior = WienerPrior(spectrum=WienerPrior.smooth_default(image_shape[1:]).spectrum, mean=0.5)
     denoiser = make_denoiser(cfg["denoiser"], prior)
     schedule = make_ddpm_schedule(cfg["T"])
-    scheme = make_scheme_config(
-        cfg["method"],
-        schedule,
-        cfg["sigma_e"],
-        gamma=cfg["gamma"],
-        eta_tilde=cfg["eta_tilde"],
-        zeta=cfg["zeta"],
-        seed=cfg["seed"],
-        step_size_policy=cfg["step_size_policy"],
-    )
+    scheme = make_scheme_config(cfg["method"], schedule, cfg["sigma_e"],
+                                **{key: cfg[key] for key in _SCHEME_DEFAULTS})
     x, trace = run_scheme(denoiser, op, y, scheme)
 
     out.parent.mkdir(parents=True, exist_ok=True)

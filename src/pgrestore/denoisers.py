@@ -121,6 +121,7 @@ class WienerPrior:
 
     def sample(self, rng: np.random.Generator, channels: int = 1) -> np.ndarray:
         """Draw an image from the prior (spectral coloring of white noise)."""
+        _check_setting("channels", channels, "{1, 2, ...}")
         self._check_channels(channels)
         white = rng.standard_normal((channels,) + self.spectrum.shape)
         out = fourier_filter(white, np.sqrt(self.half_spectrum))

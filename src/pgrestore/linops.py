@@ -101,6 +101,15 @@ def _check_setting(name: str, value, domain: str = "[0, inf)") -> None:
         raise ValueError(f"{name} must {requirement}, got {value}")
 
 
+def _image_shape(image_shape) -> tuple:
+    """An operator's ``image_shape``, three sides each checked as a count."""
+    if len(image_shape) != 3:
+        raise ValueError("image_shape must be (channels, height, width)")
+    for name, side in zip(("channels", "height", "width"), image_shape):
+        _check_setting(name, side, "{1, 2, ...}")
+    return tuple(image_shape)
+
+
 def _check_finite(name: str, arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -323,9 +332,7 @@ class DownsampleConvolution(LinearOperator):
         if not kernel.any():
             raise ValueError(f"kernel {kernel.shape} has no nonzero tap, so A = 0")
         _check_setting("scale", scale, "{1, 2, ...}")
-        if len(image_shape) != 3:
-            raise ValueError("image_shape must be (channels, height, width)")
-        c, h, w = (int(s) for s in image_shape)
+        c, h, w = _image_shape(image_shape)
         if h % scale or w % scale:
             raise ValueError(
                 f"image sides {(h, w)} must be divisible by scale {scale}"
@@ -486,7 +493,7 @@ class Mask(LinearOperator):
         mask = np.array(mask, dtype=bool)
         if mask.ndim != 2:
             raise ValueError("mask must be 2-D")
-        c, h, w = (int(s) for s in image_shape)
+        c, h, w = _image_shape(image_shape)
         if mask.shape != (h, w):
             raise ValueError(f"mask shape {mask.shape} does not match image {(h, w)}")
         kept = int(mask.sum())

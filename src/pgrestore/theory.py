@@ -3,8 +3,9 @@ mathematical properties the guidance design rests on.
 
 Small dense problems with a quadratic prior admit exact estimators and
 exact bias/variance decompositions in the shared eigenbasis of A^T A and
-D^T D. This module evaluates those spectral formulas, cross-checks them
-with Monte-Carlo draws through the estimator itself, and packages the
+D^T D, which each ``TikhonovProblem`` finds once, at construction. This
+module evaluates those spectral formulas, cross-checks them with
+Monte-Carlo draws through the estimator itself, and packages the
 individual properties (gradient zero-set equivalence, preconditioner
 factorization, single-step descent, Hessian conditioning, and the
 bias/variance orderings) as a battery the CLI ``verify`` subcommand and
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +68,12 @@ class TikhonovProblem:
     inverse (A A^T)^-1 (eta = 0) and the LS scale is c = 1; ``delta``
     parameterizes the WLS weight. ``beta_prior`` is the prior weight,
     unrelated to the diffusion schedule's beta.
+
+    Construction takes A's SVD once, rotates each group of (numerically)
+    equal singular values to diagonalize D^T D there, and stores D^T D's
+    eigenvalue on each of the m right singular vectors (the null-space
+    modes need none) for the closed forms. It raises ValueError if D^T D
+    is not diagonal on those vectors.
     """
 
     a_matrix: np.ndarray
@@ -75,6 +82,8 @@ class TikhonovProblem:
     sigma_e: float
     x_star: np.ndarray
     delta: float
+    # (singular values lambda, paired gamma^2, the m right singular vectors V)
+    _decomposition: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a_matrix, dtype=float)
@@ -98,11 +107,24 @@ class TikhonovProblem:
         dtd = d.T @ d
         if np.linalg.eigvalsh(dtd).min() <= 1e-12:
             raise ValueError("D^T D must be positive definite")
-        ata = a.T @ a
-        commutator = ata @ dtd - dtd @ ata
-        scale = np.linalg.norm(ata) * np.linalg.norm(dtd)
-        if np.linalg.norm(commutator) > _EIGENBASIS_TOL * max(scale, 1e-30):
-            raise ValueError("A^T A and D^T D do not share an eigenbasis")
+        _, lam, vt = np.linalg.svd(a)
+        v = vt[:m].T.copy()
+        start = 0
+        while start < m:
+            stop = start + 1
+            while stop < m and abs(lam[stop] - lam[start]) <= 1e-9 * max(1.0, lam[start]):
+                stop += 1
+            if stop - start > 1:
+                block = v[:, start:stop].T @ dtd @ v[:, start:stop]
+                _, rotation = np.linalg.eigh(block)
+                v[:, start:stop] = v[:, start:stop] @ rotation
+            start = stop
+        gamma2 = np.einsum("ji,jk,ki->i", v, dtd, v)
+        leak = dtd @ v - v * gamma2
+        if np.linalg.norm(leak) > _EIGENBASIS_TOL * max(np.linalg.norm(dtd), 1e-30):
+            raise ValueError("A^T A and D^T D do not share an eigenbasis: "
+                             "D^T D is not diagonal on A's right singular vectors")
+        object.__setattr__(self, "_decomposition", (lam, gamma2, v))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -170,35 +192,6 @@ def tikhonov_estimate(p: TikhonovProblem, mode: str, y: np.ndarray) -> np.ndarra
     return np.linalg.solve(hessian, p.a_matrix.T @ w) @ y
 
 
-def _spectral_data(p: TikhonovProblem):
-    """Singular values, prior eigenvalues paired in A's right basis, and V.
-
-    Within a group of (numerically) equal singular values the SVD basis
-    is arbitrary, so the row-space blocks are rotated to diagonalize
-    D^T D there; the null-space modes never need per-mode prior
-    eigenvalues.
-    """
-    _, lam, vt = np.linalg.svd(p.a_matrix)
-    v = vt.T.copy()
-    dtd = p.d_matrix.T @ p.d_matrix
-    m = p.shape[0]
-    start = 0
-    while start < m:
-        stop = start + 1
-        while stop < m and abs(lam[stop] - lam[start]) <= 1e-9 * max(1.0, lam[start]):
-            stop += 1
-        if stop - start > 1:
-            block = v[:, start:stop].T @ dtd @ v[:, start:stop]
-            _, rotation = np.linalg.eigh(block)
-            v[:, start:stop] = v[:, start:stop] @ rotation
-        start = stop
-    gamma2 = np.einsum("ji,jk,ki->i", v[:, :m], dtd, v[:, :m])
-    leak = dtd @ v[:, :m] - v[:, :m] * gamma2
-    if np.linalg.norm(leak) > _EIGENBASIS_TOL * max(np.linalg.norm(dtd), 1e-30):
-        raise ValueError("eigenbasis mismatch: D^T D is not diagonal on A's right singular vectors")
-    return lam, gamma2, v
-
-
 def _mode_weights(mode: str, lam: np.ndarray, delta: float) -> np.ndarray:
     """Eigenvalues s_i of W on A's left singular basis."""
     if mode == "ls":
@@ -222,11 +215,10 @@ def bias_variance_closed_form(p: TikhonovProblem, mode: str) -> tuple[float, flo
     can see.
     """
     _check_mode(mode)
-    lam, gamma2, v = _spectral_data(p)
-    m = p.shape[0]
+    lam, gamma2, v = p._decomposition
     s = _mode_weights(mode, lam, p.delta)
     coeffs = p.beta_prior * gamma2 / (lam**2 * s + p.beta_prior * gamma2)
-    z_range = v[:, :m].T @ p.x_star
+    z_range = v.T @ p.x_star
     null_energy = float(p.x_star @ p.x_star - z_range @ z_range)
     bias_sq = float(np.sum(coeffs**2 * z_range**2)) + max(null_energy, 0.0)
     var = float(
@@ -258,6 +250,7 @@ def mc_bias_variance(p: TikhonovProblem, mode: str, seed: int) -> MCBiasVariance
     the bias term), floored at a small relative value so exact matches
     with sigma_e = 0 remain comparable.
     """
+    _check_setting("seed", seed, "{0, 1, ...}")
     rng = np.random.default_rng(seed)
     y_clean = p.a_matrix @ p.x_star
     noise = p.sigma_e * rng.standard_normal((_MC_DRAWS, p.shape[0]))
@@ -307,10 +300,11 @@ def verify_theorem1(p: TikhonovProblem) -> TheoremReport:
     Assumption (c), eta = 0 and c = 1, holds for every ``TikhonovProblem``.
     Raises ValueError naming the violated assumption when the instance
     does not satisfy the others: (a) shared eigenbasis with D^T D positive
-    definite (checked at construction), (b) singular values in (0, 1]
-    and not all equal; delta must lie strictly inside (0, 1).
+    definite (checked at construction, where A's SVD is taken), (b)
+    singular values in (0, 1] and not all equal; delta must lie strictly
+    inside (0, 1).
     """
-    lam = np.linalg.svd(p.a_matrix, compute_uv=False)
+    lam = p._decomposition[0]
     if np.any(lam <= 0) or np.any(lam > 1.0 + 1e-12):
         raise ValueError("assumption (b) violated: singular values must lie in (0, 1]")
     if lam.max() - lam.min() < 1e-12:

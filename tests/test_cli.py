@@ -369,7 +369,9 @@ class TestRestore:
     @pytest.mark.parametrize("edit,message", [
         (lambda meta: meta.pop("channels"), "lacks the image shape key(s) channels"),
         (lambda meta: meta.update(height="tall"), "height='tall' is not a valid int"),
-    ], ids=["missing", "unparsable"])
+        # the operator would otherwise reject the side and name its kernel file
+        (lambda meta: meta.update(channels="0"), "image shape (0, 16, 16) has a side below 1"),
+    ], ids=["missing", "unparsable", "zero-side"])
     def test_bad_sidecar_shape_names_key_and_sidecar(self, workspace, capsys, edit, message):
         self.degrade_identity(workspace)
         meta = io.read_config(workspace / "y.pgt.meta")

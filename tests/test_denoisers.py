@@ -189,6 +189,16 @@ class TestWienerPrior:
         assert a.shape == (2, 12, 12)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("channels, message", [
+        (0, "channels must be at least 1, got 0"),
+        (-1, "channels must be at least 1, got -1"),
+        (1.5, "channels must be an integer, got 1.5"),
+    ], ids=["zero", "negative", "fraction"])
+    def test_bad_sample_channels_rejected(self, channels, message):
+        # 0 channels would otherwise return an empty image
+        with pytest.raises(ValueError, match=message):
+            WienerPrior.smooth_default((8, 8)).sample(np.random.default_rng(5), channels)
+
     def test_negative_spectrum_rejected(self):
         with pytest.raises(ValueError):
             WienerPrior(spectrum=-np.ones((4, 4)))

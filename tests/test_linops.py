@@ -254,6 +254,14 @@ class TestFFTPathsAgainstDenseOracle:
         assert np.linalg.norm(got - expected) <= 1e-6 * np.linalg.norm(expected)
 
 
+# Each builds an operator on an 8 x 8 image with the given image_shape.
+MAKE_OPS_ON_8x8 = [
+    lambda shape: CircularConvolution(delta_kernel(3), shape),
+    lambda shape: DownsampleConvolution(bicubic_kernel(2), 2, shape),
+    lambda shape: Mask(np.ones((8, 8), dtype=bool), shape),
+]
+
+
 class TestConstruction:
     def test_even_conv_kernel_rejected(self):
         with pytest.raises(ValueError):
@@ -281,13 +289,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DownsampleConvolution(bicubic_kernel(3), 3, SHAPE)
 
-    @pytest.mark.parametrize("make_op", [
-        lambda shape: CircularConvolution(delta_kernel(3), shape),
-        lambda shape: DownsampleConvolution(bicubic_kernel(2), 2, shape),
-    ], ids=["conv", "sr2"])
+    @pytest.mark.parametrize("make_op", MAKE_OPS_ON_8x8, ids=["conv", "sr2", "mask"])
     def test_two_dimensional_image_shape_rejected(self, make_op):
         with pytest.raises(ValueError, match=r"\(channels, height, width\)"):
             make_op((8, 8))
+
+    @pytest.mark.parametrize("side, message", [
+        (0, "must be at least 1, got 0"),
+        (-1, "must be at least 1, got -1"),
+        (1.5, "must be an integer, got 1.5"),
+    ], ids=["zero", "negative", "fraction"])
+    @pytest.mark.parametrize("axis, name", list(enumerate(("channels", "height", "width"))),
+                             ids=["channels", "height", "width"])
+    @pytest.mark.parametrize("make_op", MAKE_OPS_ON_8x8, ids=["conv", "sr2", "mask"])
+    def test_bad_image_side_rejected(self, make_op, axis, name, side, message):
+        # a side is not truncated: 1.5 channels would otherwise build a 1-channel operator
+        shape = [1, 8, 8]
+        shape[axis] = side
+        with pytest.raises(ValueError, match=f"{name} {message}"):
+            make_op(tuple(shape))
 
     def test_dense_size_cap(self, rng):
         with pytest.raises(ValueError):

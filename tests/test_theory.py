@@ -28,6 +28,22 @@ def small_problem(seed=0, **changes):
     return dataclasses.replace(random_conforming_problem(np.random.default_rng(seed)), **changes)
 
 
+def skewed_prior():
+    p = small_problem(4)
+    skewed = p.d_matrix.copy()
+    skewed[0, -1] += 1.0
+    return p.a_matrix, skewed
+
+
+def prior_turned_between_near_equal_singular_values():
+    # The singular values 0.5 and 0.5 - 1e-8 differ, so their singular vectors are fixed,
+    # and D's eigenvectors are turned 45 degrees in their plane. A^T A and D^T D share no
+    # eigenbasis, though their commutator is within 1e-8 of their norms' product.
+    turn = np.eye(3)
+    turn[1:, 1:] = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    return np.diag([0.9, 0.5, 0.5 - 1e-8]), turn @ np.diag([1.0, 1.0, 2.0]) @ turn.T
+
+
 class TestTikhonovEstimate:
     def test_huge_prior_weight_shrinks_to_zero(self, rng):
         p = small_problem(1)
@@ -78,15 +94,14 @@ class TestTikhonovEstimate:
                 p.beta_prior * p.d_matrix.T @ p.d_matrix @ x_hat
             assert np.linalg.norm(grad) <= 1e-8
 
-    def test_eigenbasis_violation_rejected(self, rng):
-        p = small_problem(4)
-        skewed = p.d_matrix.copy()
-        skewed[0, -1] += 1.0
+    @pytest.mark.parametrize("make_matrices", [
+        skewed_prior, prior_turned_between_near_equal_singular_values,
+    ], ids=["skewed-prior", "near-equal-singular-values"])
+    def test_eigenbasis_violation_rejected(self, make_matrices):
+        a, d = make_matrices()
         with pytest.raises(ValueError, match="eigenbasis"):
-            TikhonovProblem(
-                a_matrix=p.a_matrix, d_matrix=skewed, beta_prior=p.beta_prior,
-                sigma_e=p.sigma_e, x_star=p.x_star, delta=p.delta,
-            )
+            TikhonovProblem(a_matrix=a, d_matrix=d, beta_prior=0.5, sigma_e=0.1,
+                            x_star=np.ones(a.shape[1]), delta=0.5)
 
 
 class TestBiasVariance:
@@ -120,6 +135,15 @@ class TestBiasVariance:
             assert abs(mc.bias_sq - closed_b2) <= 3.0 * mc.se_bias_sq
             assert abs(mc.var - closed_v) <= 3.0 * mc.se_var
             assert abs(mc.mse - (closed_b2 + closed_v)) <= 3.0 * mc.se_mse
+
+    @pytest.mark.parametrize("seed, message", [
+        (2.7, "seed must be an integer, got 2.7"),
+        (math.nan, "seed must be an integer, got nan"),
+        (-1, "seed must be nonnegative, got -1"),
+    ], ids=["fraction", "nan", "negative"])
+    def test_bad_monte_carlo_seed_rejected(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            mc_bias_variance(small_problem(5), "ls", seed)
 
     def test_mse_is_bias_plus_variance(self):
         p = small_problem(7)
@@ -261,8 +285,8 @@ def test_non_finite_setting_rejected(build, name, bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("name", ["a_matrix", "d_matrix", "x_star"])
 def test_non_finite_entry_rejected(name, bad):
-    # A NaN x_star would give a NaN bias, and a NaN A would pass the
-    # commutator check (nan > tol is False).
+    # A NaN x_star would give a NaN bias. A NaN A would stop the SVD with
+    # numpy's "SVD did not converge", and an infinite one can stall it.
     problem = small_problem(12)
     changed = getattr(problem, name).copy()
     changed.flat[0] = bad
