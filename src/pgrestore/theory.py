@@ -361,6 +361,9 @@ def verify_claim2(a_matrix, w_matrix) -> float:
     m, n = a.shape
     if w.shape != (m, m):
         raise ValueError(f"W must be {m} x {m}, got {w.shape}")
+    # A NaN residual would read as a pass to a caller that tests rel > tol.
+    _check_finite("a_matrix", a)
+    _check_finite("w_matrix", w)
     u, _, vt = np.linalg.svd(a)
     v = vt.T
     w_on_u = u.T @ w @ u

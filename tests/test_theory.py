@@ -246,6 +246,20 @@ class TestClaim2:
         with pytest.raises(ValueError, match="commute"):
             verify_claim2(a, w)
 
+    def test_non_finite_a_rejected(self, rng):
+        # an inf in A made the residual NaN, which claim2_check took for a pass
+        a = rng.standard_normal((2, 3))
+        a[0, 0] = np.inf
+        with pytest.raises(ValueError, match="a_matrix contains non-finite entries"):
+            verify_claim2(a, np.eye(2))
+
+    def test_non_finite_w_rejected(self, rng):
+        a = rng.standard_normal((2, 3))
+        w = np.eye(2)
+        w[1, 0] = np.nan
+        with pytest.raises(ValueError, match="w_matrix contains non-finite entries"):
+            verify_claim2(a, w)
+
 
 class TestBattery:
     def test_individual_checks_pass(self):
