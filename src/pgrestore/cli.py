@@ -7,7 +7,8 @@ bit-exactly with ``--config <echoed file>``. Flags override config-file
 values, which override defaults; each ``degrade``/``restore`` setting is
 declared once, in that command's option table. ``restore`` takes the
 measurement's operator and noise level from the ``<measurement>.meta``
-sidecar that ``degrade`` wrote, read with ``degrade``'s own table.
+sidecar that ``degrade`` wrote, read with ``degrade``'s own table, and the
+image shape from the measurement itself.
 
 Exit codes: 0 success, 1 runtime failure (including failed verification
 claims), 2 validation failure (bad flags, missing or malformed files).
@@ -73,20 +74,20 @@ RESTORE_OPTIONS = {
     "export_image": (str, None, "8-bit image export path"),
 }
 
-# Keys a config file may hold besides a command's settings: the image shape
-# that degrade adds to its .meta sidecar, and retired settings, which old
-# echoed files still carry: the LS scale c is now derived from ||A||, the
-# beta endpoints are DDPM's, and the sidecar path and the operator settings
-# are read from <measurement>.meta only.
-SIDECAR_SHAPE_KEYS = ("channels", "height", "width")
-RETIRED_KEYS = ("c", "beta_start", "beta_end", "sidecar", "task", "kernel", "scale", "mask")
+# Keys a config file may hold besides a command's settings: retired ones,
+# which old echoed files still carry. The LS scale c is now derived from
+# ||A||, the beta endpoints are DDPM's, the sidecar path and the operator
+# settings are read from <measurement>.meta only, and restore derives the
+# image shape from the measurement.
+RETIRED_KEYS = ("c", "beta_start", "beta_end", "sidecar", "task", "kernel", "scale", "mask",
+                "channels", "height", "width")
 
 
 def _coerce(options: dict, key: str, value, source):
     """A flag or config string as the option's type; "None" only where that is the default.
 
     ``source`` names where the string came from (a file, or the command
-    line), for the message of a value that does not convert.
+    line), for the message of a value that does not convert or is not finite.
     """
     if not isinstance(value, str):
         return value
@@ -95,11 +96,6 @@ def _coerce(options: dict, key: str, value, source):
         if default is not None:
             raise ValueError(f"{key} must not be None (default {default})")
         return None
-    return _convert(kind, key, value, source)
-
-
-def _convert(kind, key: str, value: str, source):
-    """``kind(value)``; a failure or a non-finite float names the key, the value and ``source``."""
     try:
         converted = kind(value)
     except ValueError:
@@ -109,20 +105,17 @@ def _convert(kind, key: str, value: str, source):
     return converted
 
 
-def _resolve(options: dict, config_path, flag_values: dict, echoed_keys=()) -> dict:
+def _resolve(options: dict, config_path, flag_values: dict) -> dict:
     """defaults < config file < explicit flags.
 
-    A config key that is neither an option, one of ``echoed_keys`` nor a
-    retired key is a validation error, so a misspelled key is not dropped.
-    An echoed key is returned as its raw string.
+    A config key that is neither an option nor a retired key is a
+    validation error, so a misspelled key is not dropped.
     """
     resolved = {key: default for key, (_, default, _) in options.items()}
     if config_path:
         for key, value in io.read_config(config_path).items():
             if key in options:
                 resolved[key] = _coerce(options, key, value, config_path)
-            elif key in echoed_keys:
-                resolved[key] = value
             elif key not in RETIRED_KEYS:
                 raise ValueError(f"{config_path}: unknown config key {key!r}")
     for key, value in flag_values.items():
@@ -140,8 +133,12 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _build_operator(cfg: dict, image_shape):
-    """The operator that degrade's settings ``cfg`` describe; its errors name the file."""
+def _build_operator(cfg: dict, channels: int, sides=None):
+    """The operator that degrade's settings ``cfg`` describe; its errors name the file.
+
+    The image has ``channels`` channels and ``sides`` (height, width);
+    ``sides=None`` takes a mask's own grid.
+    """
     task = cfg["task"]
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
@@ -150,6 +147,7 @@ def _build_operator(cfg: dict, image_shape):
     key, read = ("mask", io.read_mask) if task == "inpaint" else ("kernel", io.read_kernel)
     path = _require_file(cfg[key], f"{key} file")
     grid = read(path)
+    image_shape = (channels, *(grid.shape if sides is None else sides))
     try:
         if task == "deblur":
             return CircularConvolution(grid, image_shape)
@@ -194,16 +192,14 @@ def _fit_measurement(y: np.ndarray, op, path) -> np.ndarray:
 
 
 def cmd_degrade(args) -> int:
-    cfg = _resolve(DEGRADE_OPTIONS, args.config, vars(args), SIDECAR_SHAPE_KEYS)
+    cfg = _resolve(DEGRADE_OPTIONS, args.config, vars(args))
     source = _read_source(cfg["input"])
-    op = _build_operator(cfg, source.shape)
+    op = _build_operator(cfg, source.shape[0], source.shape[1:])
     out = _output_path(cfg["output"], "--output")
     y = degrade(op, source, NoiseSpec(sigma_e=cfg["sigma_e"], seed=cfg["seed"]))
     out.parent.mkdir(parents=True, exist_ok=True)
     io.write_tensor(out, _measurement_to_3d(y))
-    sidecar = dict(cfg)
-    sidecar.update(zip(SIDECAR_SHAPE_KEYS, source.shape), output=str(out))
-    io.write_config(str(out) + ".meta", sidecar)
+    io.write_config(str(out) + ".meta", {**cfg, "output": str(out)})
     print(f"wrote {out} and {out}.meta (sigma_e={cfg['sigma_e']}, seed={cfg['seed']})")
     return 0
 
@@ -215,24 +211,20 @@ def cmd_restore(args) -> int:
         _output_path(cfg["export_image"], "--export-image")
     meas_file = _require_file(cfg["measurement"], "measurement file")
     sidecar_path = _require_file(str(meas_file) + ".meta", "measurement sidecar")
-    sidecar = _resolve(DEGRADE_OPTIONS, sidecar_path, {}, SIDECAR_SHAPE_KEYS)
+    sidecar = _resolve(DEGRADE_OPTIONS, sidecar_path, {})
     if cfg["sigma_e"] is None:
         cfg["sigma_e"] = sidecar["sigma_e"]
-    missing = [key for key in SIDECAR_SHAPE_KEYS if key not in sidecar]
-    if missing:
-        raise ValueError(f"{sidecar_path}: sidecar lacks the image shape key(s) "
-                         f"{', '.join(missing)}, which degrade writes")
-    image_shape = tuple(_convert(int, key, sidecar[key], sidecar_path)
-                        for key in SIDECAR_SHAPE_KEYS)
-    if min(image_shape) < 1:
-        raise ValueError(f"{sidecar_path}: image shape {image_shape} has a side below 1")
 
-    op = _build_operator(sidecar, image_shape)
     y = io.read_tensor(meas_file)
     _check_finite(f"{meas_file}: measurement", y)
+    # The image's sides: blur keeps them, sr x s multiplies them by s (an sr
+    # without a scale keeps them, and _build_operator rejects it), a mask fixes them.
+    s = sidecar["scale"] if sidecar["task"] == "sr" and sidecar["scale"] else 1
+    sides = None if sidecar["task"] == "inpaint" else (y.shape[1] * s, y.shape[2] * s)
+    op = _build_operator(sidecar, y.shape[0], sides)
     y = _fit_measurement(y, op, meas_file)
     # Unit-range images: smooth default prior around a 0.5 gray mean.
-    prior = WienerPrior(spectrum=WienerPrior.smooth_default(image_shape[1:]).spectrum, mean=0.5)
+    prior = WienerPrior(spectrum=WienerPrior.smooth_default(op.input_shape[1:]).spectrum, mean=0.5)
     denoiser = make_denoiser(cfg["denoiser"], prior)
     schedule = make_ddpm_schedule(cfg["T"])
     scheme = make_scheme_config(cfg["method"], schedule, cfg["sigma_e"],

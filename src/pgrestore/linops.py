@@ -225,9 +225,11 @@ def _full_width(half: np.ndarray, full: np.ndarray) -> np.ndarray:
 
     Hermitian symmetry, X[u, v] = conj X[-u mod h, width - v], gives the
     missing columns: the half's columns (width - 1) // 2 .. 1 with rows
-    0, h - 1, .., 1, conjugated. ``half`` is conjugated in place on the
-    way: copies and a ufunc on a contiguous array make numpy allocate no
-    buffer, where a ufunc between strided views would.
+    0, h - 1, .., 1, conjugated. They are copied from ``half`` conjugated in
+    place, and ``half`` is then conjugated back, bit for bit, so the caller
+    gets it as it was. Copies and a ufunc on a contiguous array make numpy
+    allocate no buffer, where a ufunc on a strided view, such as ``full``'s
+    tail, allocates buffers as large as the view.
     """
     k, width = half.shape[-1], full.shape[-1]
     full[..., :k] = half
@@ -235,6 +237,7 @@ def _full_width(half: np.ndarray, full: np.ndarray) -> np.ndarray:
     tail = half[..., (width + 1) // 2 - 1:0:-1]
     full[..., :1, k:] = tail[..., :1, :]
     full[..., 1:, k:] = tail[..., :0:-1, :]
+    np.conjugate(half, out=half)
     return full
 
 

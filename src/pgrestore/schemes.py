@@ -238,7 +238,8 @@ class RunTrace:
 
     def save(self, path) -> None:
         """Write one "t delta objective residual" line per iteration."""
-        rows = zip(self.t, self.delta, self.objective, self.residual)
+        # Python numbers format faster than numpy scalars, to the same text.
+        rows = zip(*(col.tolist() for col in (self.t, self.delta, self.objective, self.residual)))
         Path(path).write_text("".join(f"{int(t)} {d:.12g} {o:.12g} {r:.12g}\n"
                                       for t, d, o, r in rows))
 

@@ -22,6 +22,29 @@ def operator_matrix(op) -> np.ndarray:
     return matrix
 
 
+def posterior_mean(op, prior, y, sigma_e) -> np.ndarray:
+    """E[x | y] for x ~ N(mean, Sigma), the ``prior``, and y = A x + N(0, sigma_e^2 I).
+
+    mean + Sigma A^T (A Sigma A^T + sigma_e^2 I)^-1 (y - A mean), all dense:
+    A column by column from ``op.apply``, and each channel's Sigma the
+    circulant Sigma[p, q] = c[p - q] of the prior's autocovariance c, the
+    inverse DFT of its spectrum (numpy's). Sized for 32^2 and below. ``y``
+    may also stack measurements along a new first axis, one solve for all.
+    """
+    channels, h, w = op.input_shape
+    autocov = np.fft.ifft2(prior.spectrum).real
+    rows, cols = np.divmod(np.arange(h * w), w)
+    circulant = autocov[(rows[:, None] - rows) % h, (cols[:, None] - cols) % w]
+    sigma = np.kron(np.eye(channels), circulant)
+    mean = np.broadcast_to(prior.mean, op.input_shape).reshape(-1, 1)
+    a = operator_matrix(op)
+    gram = a @ sigma @ a.T + sigma_e**2 * np.eye(a.shape[0])
+    residuals = np.reshape(y, (-1, a.shape[0])).T - a @ mean
+    x = mean + sigma @ a.T @ np.linalg.solve(gram, residuals)
+    stack = np.shape(y)[:np.ndim(y) - len(op.output_shape)]
+    return x.T.reshape(stack + op.input_shape)
+
+
 def kernel_center(kernel):
     return (kernel.shape[0] - 1) // 2, (kernel.shape[1] - 1) // 2
 

@@ -105,7 +105,8 @@ class TestDegrade:
         sidecar = io.read_config(workspace / "y.pgt.meta")
         assert sidecar["task"] == "deblur"
         assert float(sidecar["sigma_e"]) == 0.05
-        assert (int(sidecar["channels"]), int(sidecar["height"]), int(sidecar["width"])) == (1, 16, 16)
+        # restore derives the image shape from the measurement
+        assert not {"channels", "height", "width"} & set(sidecar)
 
     def test_deblur_sidecar_records_no_scale(self, workspace):
         main([
@@ -281,13 +282,17 @@ class TestRestore:
         assert code == 0
         assert file_hash(workspace / "x.pgt") == first
         # a config echoed before the LS scale, the beta endpoints, the sidecar
-        # path and the operator settings retired still reproduces: each key is
-        # accepted and ignored, and a unit-sum blur derives c = 1 exactly
+        # path, the operator settings and the image shape retired still
+        # reproduces, and so does a sidecar that carries the image shape: each
+        # key is accepted and ignored, and a unit-sum blur derives c = 1 exactly
+        shape = {"channels": "1", "height": "16", "width": "16"}
         retired = {"sidecar": str(workspace / "y.pgt.meta"), "beta_start": "0.0001",
                    "beta_end": "0.02", "task": "deblur", "kernel": str(workspace / "gauss.txt"),
-                   "scale": "None", "mask": "None", "c": "1.0"}
+                   "scale": "None", "mask": "None", "c": "1.0", **shape}
         assert set(retired) == set(cli.RETIRED_KEYS)
         io.write_config(workspace / "old.cfg", {**echoed, **retired})
+        meta = io.read_config(workspace / "y.pgt.meta")
+        io.write_config(workspace / "y.pgt.meta", {**meta, **shape})
         (workspace / "x.pgt").unlink()
         assert main(["restore", "--config", str(workspace / "old.cfg")]) == 0
         assert file_hash(workspace / "x.pgt") == first
@@ -364,26 +369,6 @@ class TestRestore:
         assert main(["restore", "--config", str(workspace / "bad.cfg")]) == 2
         err = capsys.readouterr().err
         assert "T='abc' is not a valid int" in err and "bad.cfg" in err
-        assert not (workspace / "x.pgt").exists()
-
-    @pytest.mark.parametrize("edit,message", [
-        (lambda meta: meta.pop("channels"), "lacks the image shape key(s) channels"),
-        (lambda meta: meta.update(height="tall"), "height='tall' is not a valid int"),
-        # the operator would otherwise reject the side and name its kernel file
-        (lambda meta: meta.update(channels="0"), "image shape (0, 16, 16) has a side below 1"),
-    ], ids=["missing", "unparsable", "zero-side"])
-    def test_bad_sidecar_shape_names_key_and_sidecar(self, workspace, capsys, edit, message):
-        self.degrade_identity(workspace)
-        meta = io.read_config(workspace / "y.pgt.meta")
-        edit(meta)
-        io.write_config(workspace / "y.pgt.meta", meta)
-        code = main([
-            "restore", "--measurement", str(workspace / "y.pgt"),
-            "--output", str(workspace / "x.pgt"), "--method", "idpg", "--T", "4",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert message in err and "y.pgt.meta" in err
         assert not (workspace / "x.pgt").exists()
 
     @pytest.mark.parametrize("command,flags,key,source", [
@@ -503,15 +488,18 @@ class TestRestore:
         assert not (workspace / "run").exists()
 
     def test_sidecar_shape_mismatch_is_validation_error(self, workspace, capsys):
-        io.write_image(workspace / "wide.pgm", np.random.default_rng(3).random((1, 16, 24)))
+        # a mask fixes the image's sides, so its measurement must hold one value
+        # per kept pixel; the sidecar here names a mask that keeps one more
         main([
-            "degrade", "--input", str(workspace / "wide.pgm"),
+            "degrade", "--input", str(workspace / "source.pgm"),
             "--output", str(workspace / "y.pgt"),
-            "--task", "deblur", "--kernel", str(workspace / "gauss.txt"),
+            "--task", "inpaint", "--mask", str(workspace / "mask.txt"),
         ])
+        mask = io.read_mask(workspace / "mask.txt")
+        mask[np.unravel_index(np.argmin(mask), mask.shape)] = True
+        io.write_mask(workspace / "more.txt", mask)
         meta = io.read_config(workspace / "y.pgt.meta")
-        meta["height"], meta["width"] = meta["width"], meta["height"]
-        io.write_config(workspace / "y.pgt.meta", meta)
+        io.write_config(workspace / "y.pgt.meta", {**meta, "mask": str(workspace / "more.txt")})
         code = main([
             "restore", "--measurement", str(workspace / "y.pgt"),
             "--output", str(workspace / "x.pgt"),
@@ -520,6 +508,40 @@ class TestRestore:
         assert code == 2
         assert "does not match" in capsys.readouterr().err
         assert not (workspace / "x.pgt").exists()
+
+    def test_sr_sidecar_without_scale_is_validation_error(self, workspace, capsys):
+        main([
+            "degrade", "--input", str(workspace / "source.pgm"),
+            "--output", str(workspace / "y.pgt"),
+            "--task", "sr", "--kernel", str(workspace / "gauss.txt"), "--scale", "2",
+        ])
+        meta = io.read_config(workspace / "y.pgt.meta")
+        io.write_config(workspace / "y.pgt.meta", {**meta, "scale": "None"})
+        code = main([
+            "restore", "--measurement", str(workspace / "y.pgt"),
+            "--output", str(workspace / "x.pgt"), "--method", "idpg", "--T", "4",
+        ])
+        assert code == 2
+        assert "sr requires --scale" in capsys.readouterr().err
+        assert not (workspace / "x.pgt").exists()
+
+    @pytest.mark.parametrize("task,flags,shape", [
+        ("deblur", ["--kernel", "gauss.txt"], (16, 16)),
+        ("sr", ["--kernel", "gauss.txt", "--scale", "2"], (8, 8)),
+        ("sr", ["--kernel", "gauss.txt", "--scale", "4"], (4, 4)),
+        ("inpaint", ["--mask", "mask.txt"], None),
+    ], ids=["deblur", "sr2", "sr4", "inpaint"])
+    def test_restore_derives_the_image_shape_from_the_measurement(
+            self, workspace, task, flags, shape):
+        write_sample_image(workspace / "color.ppm", channels=3)
+        flags = [str(workspace / flag) if flag.endswith(".txt") else flag for flag in flags]
+        assert main(["degrade", "--input", str(workspace / "color.ppm"),
+                     "--output", str(workspace / "y.pgt"), "--task", task, *flags]) == 0
+        kept = int(io.read_mask(workspace / "mask.txt").sum())
+        assert io.read_tensor(workspace / "y.pgt").shape == (3, *(shape or (kept, 1)))
+        assert main(["restore", "--measurement", str(workspace / "y.pgt"),
+                     "--output", str(workspace / "x.pgt"), "--method", "idpg", "--T", "4"]) == 0
+        assert io.read_tensor(workspace / "x.pgt").shape == (3, 16, 16)
 
     def test_non_finite_iterate_is_runtime_error(self, workspace, monkeypatch, capsys):
         def nan_denoiser(spec, prior):

@@ -204,8 +204,7 @@ def _mangled_config(data, draw):
     if how == "cut":  # inside a key, so the last line has no '='
         lines = lines[:i] + [key[: draw(st.integers(1, len(key)))]]
     elif how == "rename":
-        known = {*cli.DEGRADE_OPTIONS, *cli.RESTORE_OPTIONS, *cli.RETIRED_KEYS,
-                 *cli.SIDECAR_SHAPE_KEYS}
+        known = {*cli.DEGRADE_OPTIONS, *cli.RESTORE_OPTIONS, *cli.RETIRED_KEYS}
         new = draw(NON_NUMBERS.filter(lambda k: k and k not in known))
         lines[i] = new + lines[i][len(key):]
     else:

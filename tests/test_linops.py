@@ -13,6 +13,7 @@ from pgrestore.linops import (
     Mask,
     ShapeMismatchError,
     SingularOperatorError,
+    _full_width,
     fourier_filter,
     irfft2_into,
     rfft2_into,
@@ -21,6 +22,7 @@ from oracles import (
     naive_circular_conv,
     naive_circular_corr,
     operator_matrix,
+    peak_traced_bytes,
     reg_pinv_svd,
 )
 
@@ -419,3 +421,26 @@ def test_fourier_filter_with_and_without_work_array(rng, shape):
     spectrum = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
     assert np.array_equal(fourier_filter(x, response, spectrum=spectrum),
                           fourier_filter(x, response))
+
+
+@pytest.mark.parametrize("shape", [(1, 6, 8), (3, 5, 7), (2, 4, 1)])
+def test_full_width_fills_every_column_and_leaves_half_alone(rng, shape):
+    # Even, odd and unit widths, written into a strided view as the sr step's fold is.
+    _, h, w = shape
+    x = rng.standard_normal(shape)
+    half = np.fft.rfft2(x)
+    kept = half.copy()
+    full = np.empty((*shape[:-1], 2 * w), dtype=complex)[..., :w]
+    assert _full_width(half, full) is full
+    assert np.array_equal(half.view(float), kept.view(float))
+    k = half.shape[-1]
+    mirrored = np.conj(kept[..., (-np.arange(h)) % h, :][..., w - np.arange(k, w)])
+    assert np.array_equal(full[..., :k], kept) and np.array_equal(full[..., k:], mirrored)
+    np.testing.assert_allclose(full, np.fft.fft2(x), rtol=0, atol=1e-12)
+
+
+def test_full_width_allocates_nothing_the_size_of_its_tail(rng):
+    # A ufunc on the strided tail of full would allocate copies of it (130 KB here, numpy 2.4).
+    half = np.fft.rfft2(rng.standard_normal((1, 64, 128)))
+    full = np.empty((1, 64, 256), dtype=complex)[..., :128]
+    assert peak_traced_bytes(lambda: _full_width(half, full)) <= 4096

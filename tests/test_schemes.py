@@ -16,6 +16,7 @@ from pgrestore.linops import CircularConvolution, DenseOperator, DownsampleConvo
 from pgrestore.metrics import NoiseSpec, degrade, psnr
 from pgrestore.schemes import (
     DiffusionSchedule,
+    RunTrace,
     SchemeConfig,
     ddpg_run,
     eps_effective,
@@ -648,3 +649,18 @@ def test_trace_export_format(tmp_path):
     assert len(first) == 4
     assert int(first[0]) == 5  # loop starts at t = T
     float(first[1]), float(first[2]), float(first[3])
+
+
+def test_trace_file_bytes_are_pinned(tmp_path):
+    # Awkward values: an underflow-scale float, a sum that is not 0.3, a
+    # negative zero, and an integer t held as a float.
+    trace = RunTrace(t=np.array([3, 2.0, 1]), delta=np.array([0.0, 0.1 + 0.2, 1.0]),
+                     objective=np.array([1e-300, -0.0, 12345678901234.5]),
+                     residual=np.array([5e-324, 1 / 3, 2.5e17]),
+                     objective_after=np.zeros(3), residual_after=np.zeros(3))
+    trace.save(tmp_path / "run.trace")
+    assert (tmp_path / "run.trace").read_bytes() == (
+        b"3 0 1e-300 4.94065645841e-324\n"
+        b"2 0.3 -0 0.333333333333\n"
+        b"1 1 1.23456789012e+13 2.5e+17\n"
+    )

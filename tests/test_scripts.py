@@ -1,5 +1,6 @@
 """Smoke tests: the scripts under scripts/ run against the current package."""
 
+import json
 import os
 import subprocess
 import sys
@@ -42,3 +43,43 @@ def test_make_kernels_writes_files(tmp_path):
     expected = {"gauss5_std10.txt", "bicubic_x2.txt", "bicubic_x4.txt", "mask_half_32x32.txt"}
     assert {p.name for p in out.iterdir()} == expected
     assert all((out / name).stat().st_size > 0 for name in expected)
+
+
+def source_counts(*paths):
+    result = run_script("count_source.py", *map(str, paths))
+    assert result.returncode == 0, result.stderr
+    (settable, settable_value), (lines, lines_value) = (
+        line.rsplit(": ", 1) for line in result.stdout.splitlines())
+    assert (settable, lines) == ("settable values",
+                                 "code lines (not blank, comments or docstrings)")
+    return {"settable_values": int(settable_value), "code_lines": int(lines_value)}
+
+
+def test_count_source_counts_a_file_or_the_package():
+    package = source_counts()
+    assert package == source_counts(ROOT / "src" / "pgrestore")
+    assert 0 < source_counts(ROOT / "src" / "pgrestore" / "cli.py")["code_lines"] \
+        < package["code_lines"]
+
+
+def test_bench_trajectory_writes_the_next_free_file(tmp_path):
+    (tmp_path / "BENCH_1.json").write_text("{}")
+    result = run_script("bench_trajectory.py", "--sizes", "32", "--T", "5",
+                        "--out-dir", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    record = json.loads((tmp_path / "BENCH_2.json").read_text())
+    assert set(record) == {"provenance", "settings", "cells"}
+    assert set(record["provenance"]) == {
+        "git_sha", "git_dirty", "numpy", "python", "nproc", "source", "wall_s",
+        "cpu_over_wall", "steal_jiffies"}
+    assert record["provenance"]["source"] == source_counts()
+    cells = {(c["task"], c["scale"], c["method"]): c for c in record["cells"]}
+    assert len(cells) == len(record["cells"]) == 8
+    for (task, scale, method), cell in cells.items():
+        assert cell["size"] == 32 and cell["T"] == 5 and len(cell["ms_runs"]) == 3
+        assert cell["ms"] == sorted(cell["ms_runs"])[1] > 0
+        assert cell["minor_faults_per_iter"] >= 0
+        # the Fourier-domain step makes 2 transforms and the mask's none; Wiener makes 2
+        assert cell["transforms_per_iter"] == (2 if task == "inpaint" else 4)
+    assert {scale for task, scale, _ in cells if task == "sr"} == {2, 4}
+
