@@ -3,7 +3,9 @@
 
 For each task (deblur, sr x2, sr x4, inpaint), image side (32, 128, 256)
 and method (idpg, ddpg), the script restores one seeded 1-channel
-measurement (sigma_e = 0.05) with the Wiener denoiser and records:
+measurement (sigma_e = 0.05) with the Wiener denoiser, in a fresh
+interpreter of its own, so that no cell inherits the heap of the cells
+before it, and records:
 
 - ``ms``: the median wall time of 3 in-process ``run_scheme`` calls (all
   three are kept in ``ms_runs``);
@@ -11,16 +13,17 @@ measurement (sigma_e = 0.05) with the Wiener denoiser and records:
   ``linops.irfft2_into``, each one 2-D transform, from the first denoiser
   call on, over T; counted as ``tests/test_schemes.py``'s
   ``test_fft_calls_per_iteration`` counts them, in a separate call;
-- ``minor_faults_per_iter``: the process's minor page faults
+- ``minor_faults_per_iter``: the cell process's minor page faults
   (``getrusage``) over the 3 timed calls, per iteration, after one warm-up
   call.
 
 It also records where the numbers come from: the git SHA and whether the
 tree had uncommitted changes, the numpy and Python versions, ``nproc``,
-the source counts of ``scripts/count_source.py``, the process's CPU time
-over the wall time of the whole matrix, and the steal jiffies over it
-(from ``/proc/stat``, where it exists). The numbers are ungated: compare
-two files made on one machine, one soon after the other.
+the source counts of ``scripts/count_source.py``, the CPU time of the
+script and its cell processes over the wall time of the whole matrix, and
+the steal jiffies over it (from ``/proc/stat``, where it exists). The
+numbers are ungated: compare two files made on one machine, one soon
+after the other.
 
     python scripts/bench_trajectory.py                   # T = 100, writes ./BENCH_<n>.json
     python scripts/bench_trajectory.py --sizes 32 --T 5 --out-dir /tmp/bench
@@ -28,6 +31,7 @@ two files made on one machine, one soon after the other.
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import resource
@@ -147,9 +151,16 @@ def main() -> None:
     args = parser.parse_args()
 
     steal, wall, cpu = steal_jiffies(), time.perf_counter(), time.process_time()
-    cells = [measure_cell(task, scale, size, method, args.T)
-             for size in args.sizes for task, scale in TASKS for method in METHODS]
-    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    jobs = [(task, scale, size, method, args.T)
+            for size in args.sizes for task, scale in TASKS for method in METHODS]
+    # One fresh interpreter per cell; joined, so that RUSAGE_CHILDREN holds their CPU time.
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+        cells = pool.starmap(measure_cell, jobs, chunksize=1)
+        pool.close()
+        pool.join()
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    wall = time.perf_counter() - wall
+    cpu = time.process_time() - cpu + children.ru_utime + children.ru_stime
     steal_after = steal_jiffies()
     status = git("status", "--porcelain", "--", "src", "scripts")
     provenance = {

@@ -2,7 +2,8 @@
 """Count the settable values and the code lines of the package's source.
 
 A settable value is a function parameter (lambdas too; self and cls not)
-or a dataclass field. A code line is a line that is not blank, not a
+or a dataclass field that a caller can set (a ``field(init=False)`` is
+derived, not set). A code line is a line that is not blank, not a
 comment and not part of a docstring (any statement that is a bare
 string), so a deleted comment does not count as a smaller program.
 
@@ -37,7 +38,8 @@ def count_source(paths=(PACKAGE,)) -> dict:
                 count += sum(p.arg not in ("self", "cls") for p in params)
             elif isinstance(node, ast.ClassDef) and any(
                     "dataclass" in ast.unparse(d) for d in node.decorator_list):
-                count += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+                count += sum(isinstance(s, ast.AnnAssign) and "init=False" not in ast.unparse(s)
+                             for s in node.body)
         code_lines += sum(
             1 for number, line in enumerate(text.splitlines(), 1)
             if line.strip() and not line.strip().startswith("#")

@@ -217,6 +217,8 @@ def cmd_restore(args) -> int:
 
     y = io.read_tensor(meas_file)
     _check_finite(f"{meas_file}: measurement", y)
+    if cfg["export_image"] and y.shape[0] not in (1, 3):
+        raise ValueError(f"--export-image writes 1 or 3 channels; {meas_file} has {y.shape[0]}")
     # The image's sides: blur keeps them, sr x s multiplies them by s (an sr
     # without a scale keeps them, and _build_operator rejects it), a mask fixes them.
     s = sidecar["scale"] if sidecar["task"] == "sr" and sidecar["scale"] else 1
@@ -269,16 +271,17 @@ def cmd_eval(args) -> int:
 
 
 def _parse_claims(text: str) -> list[str]:
+    """The checks ``text`` names, each once, in the order given."""
     tokens = [token.strip() for token in text.split(",") if token.strip()]
     if not tokens:
         raise ValueError("no claims selected")
-    return [f"claim{token}" if token.isdigit() else token for token in tokens]
+    return list(dict.fromkeys(f"claim{token}" if token.isdigit() else token for token in tokens))
 
 
 def cmd_verify(args) -> int:
     from .theory import run_verifier_battery  # only here: no other command needs the verifier
 
-    results = run_verifier_battery(_parse_claims(args.claims) if args.claims else None)
+    results = run_verifier_battery(None if args.claims is None else _parse_claims(args.claims))
     for result in results:
         print(result.line())
     return 0 if all(r.passed for r in results) else 1

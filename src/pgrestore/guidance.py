@@ -20,12 +20,13 @@ asks the operator for the step a run takes T times (``guided_step``):
 blur and downsampling take a Fourier-domain form (one transform each
 way per step), masks a full-grid form with no transform, both equal
 to ``guide`` up to rounding; every other operator calls ``guide``. With
-c ||A||^2 <= 1 and mu in [0, 1] (``SchemeConfig``), each mode's residual
-factor 1 - mu lambda^2 w lies in [0, 1]: no step raises the data term.
+c ||A||^2 <= 1 and mu in [0, 1] (as ``SchemeConfig`` derives it), each
+mode's residual factor 1 - mu lambda^2 w lies in [0, 1]: no step raises
+the data term.
 
 The schedules (``delta_schedule``, ``mu_schedule``, ``eta_from_noise``)
 return plain numbers and arrays; :class:`pgrestore.schemes.SchemeConfig`
-holds a run's values and checks them once.
+checks a run's settings once and derives its schedules from them.
 
 All functions are pure and safe for concurrent use.
 """
@@ -106,7 +107,7 @@ def make_guided_step(op: LinearOperator, y, eta: float):
     ``op.guided_step(y, eta, default_ls_scale(op))``: ``step(x0, delta,
     mu)``, which returns what ``guide(op, x0, y, delta, eta, c, mu)``
     does, up to rounding. delta and x0 are not checked per call:
-    ``SchemeConfig`` holds delta in [0, 1], and the loop checks the
+    ``SchemeConfig`` derives delta in [0, 1], and the loop checks the
     denoiser's output shape.
     """
     y = np.asarray(y, dtype=float)

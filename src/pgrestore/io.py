@@ -185,7 +185,10 @@ def write_config(path, mapping: dict) -> None:
 
 
 def read_config(path) -> dict:
-    """Parse flat key=value lines; blank lines and lines starting with '#' are skipped."""
+    """Parse flat key=value lines; blank lines and lines starting with '#' are skipped.
+
+    A key given twice is an error, not a silent override.
+    """
     out: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -193,6 +196,8 @@ def read_config(path) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}: malformed config line {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"{path}: key {key!r} is given twice")
+        out[key] = value
     return out

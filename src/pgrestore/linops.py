@@ -298,7 +298,7 @@ class LinearOperator:
         """``step(x0, delta, mu)``, which returns ``guide(self, x0, y, delta, eta, c, mu)``.
 
         Nothing is checked here: ``guidance.make_guided_step`` checks y and
-        eta and supplies c; a run's ``SchemeConfig`` holds delta in [0, 1].
+        eta and supplies c; a run's ``SchemeConfig`` derives delta in [0, 1].
         """
         from .guidance import guide  # guidance imports this module
 

@@ -74,7 +74,6 @@ METHODS = ("idpg", "idbp", "pgm_ls", "ddpg")
 # keep or write its input after it returns: DDPG reuses that array on the next iteration.
 Denoiser = Callable[[np.ndarray, float], np.ndarray]
 
-_MONOTONE_SLACK = 1e-12
 # No guided step raises the data term (see ``guidance``), but near a solution the
 # rounding of ``guide`` can, by more than the term itself. So the loop allows a rise of
 # this share of the term's largest value in the run or at x = 0 (with W = I).
@@ -132,50 +131,48 @@ def eps_effective(x_t: np.ndarray, x_clean: np.ndarray, alpha_bar_t: float) -> n
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Everything a restoration run needs besides the operator and denoiser.
+    """The settings of a restoration run besides the operator and denoiser, and what they imply.
 
     ``eta`` is the BP regularizer; the LS scale c is derived per run from
-    ||A|| (``guidance.make_guided_step``). ``mu`` (step sizes), ``delta``
-    (BP-to-LS mix) and ``w`` (DDPG effective-noise weights) are arrays of
-    length T with entries in [0, 1]; entry i applies at iteration t = i + 1.
-    ``eta`` and every entry must be finite. ``delta`` must be non-increasing along t, i.e. the mix moves monotonically from
-    BP toward LS as t decreases. idbp pins delta = 0 and pgm_ls pins delta
-    = 1. ``zeta`` is DDPG's share of fresh noise and ``seed`` its random stream.
+    ||A|| (``guidance.make_guided_step``). ``zeta`` is DDPG's share of fresh
+    noise and ``seed`` its random stream. Every setting is checked, whatever
+    the method. The three arrays of length T, entry i applying at iteration
+    t = i + 1, are derived once from the settings and cannot be given:
+    ``mu`` (step sizes) by ``mu_schedule`` from ``step_size_policy``;
+    ``delta`` (BP-to-LS mix) and ``w`` (DDPG effective-noise weights) by
+    ``delta_schedule`` from ``gamma`` and ``sigma_e`` for idpg and ddpg,
+    while idbp pins delta = 0, pgm_ls pins delta = 1 and both take w = 1.
+    So each entry lies in [0, 1], and delta does not increase along t: the
+    mix moves from BP toward LS as t decreases.
     """
 
     method: str
     schedule: DiffusionSchedule
+    sigma_e: float
     eta: float
-    mu: np.ndarray
-    delta: np.ndarray
-    w: np.ndarray
+    gamma: float
     zeta: float
     seed: int
+    step_size_policy: str
+    mu: np.ndarray = field(init=False)
+    delta: np.ndarray = field(init=False)
+    w: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        T = self.schedule.T
-        for name in ("mu", "delta", "w"):
-            values = np.asarray(getattr(self, name), dtype=float)
-            if values.shape != (T,):
-                raise ValueError(f"{name} must have shape ({T},) to match T, got {values.shape}")
-            object.__setattr__(self, name, values)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        _check_setting("eta", self.eta)
-        # The ddim-ratio policy yields mu = 0 at t = 1, so zero is allowed.
-        for name, what in (("mu", "step sizes"), ("delta", "delta values"),
-                           ("w", "effective-noise weights")):
-            values = getattr(self, name)
-            if not np.all((values >= 0.0) & (values <= 1.0)):
-                raise ValueError(f"{what} ({name}) must lie in [0, 1]")
-        if np.any(np.diff(self.delta) > _MONOTONE_SLACK):
-            raise ValueError("delta must be non-increasing in t")
-        if self.method == "idbp" and np.any(self.delta != 0.0):
-            raise ValueError("idbp requires delta identically 0")
-        if self.method == "pgm_ls" and np.any(self.delta != 1.0):
-            raise ValueError("pgm_ls requires delta identically 1")
+        for name in ("sigma_e", "eta", "gamma"):
+            _check_setting(name, getattr(self, name))
         _check_setting("zeta", self.zeta, "[0, 1]")
         _check_setting("seed", self.seed, "{0, 1, ...}")
+        alpha_bar, T = self.schedule.alpha_bar, self.T
+        if self.method in ("idpg", "ddpg"):
+            delta, w = delta_schedule(alpha_bar[1:], self.gamma, self.sigma_e)
+        else:
+            delta, w = np.full(T, float(self.method == "pgm_ls")), np.ones(T)
+        object.__setattr__(self, "mu", mu_schedule(alpha_bar, self.step_size_policy))
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "w", w)
 
     @property
     def T(self) -> int:
@@ -193,32 +190,14 @@ def make_scheme_config(
     seed: int = 0,
     step_size_policy: str = "unit",
 ) -> SchemeConfig:
-    """Assemble a SchemeConfig, deriving the schedules a method implies.
+    """A SchemeConfig with the BP regularizer of the noise, max(1e-4, (2 sigma_e)^2 eta_tilde).
 
-    idpg/ddpg mix BP and LS with delta_t = alpha_bar_t ** gamma when
-    sigma_e > 0 (delta = 0, w = 1 otherwise); idbp pins delta = 0 and
-    pgm_ls pins delta = 1. The BP regularizer is the noise scaling
-    max(1e-4, (2 sigma_e)^2 eta_tilde).
+    idpg and ddpg mix BP and LS with delta_t = alpha_bar_t ** gamma when
+    sigma_e > 0 (delta = 0, w = 1 otherwise); see ``SchemeConfig``.
     """
-    T = schedule.T
-    if method == "idbp":
-        delta, w = np.zeros(T), np.ones(T)
-    elif method == "pgm_ls":
-        delta, w = np.ones(T), np.ones(T)
-    elif method in ("idpg", "ddpg"):
-        delta, w = delta_schedule(schedule.alpha_bar[1:], gamma, sigma_e)
-    else:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    return SchemeConfig(
-        method=method,
-        schedule=schedule,
-        eta=float(eta_from_noise(sigma_e, eta_tilde)),
-        mu=mu_schedule(schedule.alpha_bar, step_size_policy),
-        delta=delta,
-        w=w,
-        zeta=float(zeta),
-        seed=seed,
-    )
+    return SchemeConfig(method=method, schedule=schedule, sigma_e=sigma_e,
+                        eta=float(eta_from_noise(sigma_e, eta_tilde)), gamma=gamma, zeta=zeta,
+                        seed=seed, step_size_policy=step_size_policy)
 
 
 @dataclass

@@ -656,6 +656,16 @@ class TestVerify:
     def test_unknown_claim_is_validation_error(self, capsys):
         assert main(["verify", "--claims", "9"]) == 2
 
+    @pytest.mark.parametrize("selection", ["", ",", " , "])
+    def test_empty_selection_is_validation_error(self, selection, capsys):
+        assert main(["verify", "--claims", selection]) == 2
+        assert "no claims selected" in capsys.readouterr().err
+
+    def test_each_selected_check_runs_once_in_the_order_given(self, capsys):
+        assert main(["verify", "--claims", "4,1,claim4,4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if line] == ["claim4", "claim1"]
+
     def test_full_battery_passes(self, capsys):
         # each check's workload is fixed, and the committed seeds are calibrated for it
         code = main(["verify"])

@@ -153,6 +153,36 @@ def test_eval_rejects_non_finite_tensor(files, value, which):
     _assert_one_error_naming(code, err, "bad.pgt")
 
 
+@pytest.mark.parametrize("kind", ["cfg", "meta"])
+def test_repeated_config_key_names_key_and_file(files, kind):
+    (files / "twice.pgt").write_bytes((files / "y.pgt").read_bytes())
+    meta = (files / "y.pgt.meta").read_text()
+    if kind == "meta":
+        meta += "sigma_e=0.5\n"
+    else:
+        (files / "twice.cfg").write_text("gamma=8.0\ngamma=3\ngamma=2\n")
+    (files / "twice.pgt.meta").write_text(meta)
+    out = files / "out.pgt"
+    argv = ["restore", "--measurement", files / "twice.pgt", "--output", out]
+    code, err = _run(argv + (["--config", files / "twice.cfg"] if kind == "cfg" else []))
+    _assert_one_error_naming(code, err, "gamma" if kind == "cfg" else "sigma_e")
+    assert ("twice.cfg" if kind == "cfg" else "twice.pgt.meta") in err
+    assert not out.exists()
+
+
+def test_export_image_of_a_two_channel_measurement_writes_nothing(files):
+    # checked before the run: the restore used to run and write .pgt and .trace first
+    io.write_tensor(files / "two.pgt", np.random.default_rng(1).random((2, 16, 16)))
+    assert _run(["degrade", *_deblur(files), "--input", files / "two.pgt",
+                 "--output", files / "two-y.pgt", "--sigma-e", "0.05"])[0] == 0
+    out, image = files / "two-x.pgt", files / "two-x.pgm"
+    code, err = _run(["restore", "--measurement", files / "two-y.pgt", "--output", out,
+                      "--method", "idpg", "--T", "5", "--export-image", image])
+    _assert_one_error_naming(code, err, "export-image")
+    assert err.endswith("has 2\n")
+    assert not [p.name for p in files.glob("two-x*")]
+
+
 def _token_spans(text):
     return [m.span() for m in re.finditer(r"\S+", text)]
 

@@ -128,6 +128,13 @@ class TestConfigFormat:
         with pytest.raises(ValueError, match="malformed"):
             io.read_config(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # the last value used to win silently
+        path = tmp_path / "twice.cfg"
+        path.write_text("gamma=8.0\nseed=1\ngamma = 3\ngamma=2\n")
+        with pytest.raises(ValueError, match=r"twice\.cfg: key 'gamma' is given twice"):
+            io.read_config(path)
+
 
 # A malformed kernel or input image that `degrade` reads: file name, bytes, message.
 MALFORMED = {

@@ -146,39 +146,74 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             make_scheme_config("magic", make_ddpm_schedule(5), 0.0)
 
+    @staticmethod
+    def given_settings(method, **changes):
+        return {**dict(method=method, schedule=make_ddpm_schedule(3), sigma_e=0.05, eta=0.1,
+                       gamma=8.0, zeta=0.5, seed=0, step_size_policy="unit"), **changes}
+
     def test_config_validation(self):
-        sched = make_ddpm_schedule(3)
-        good = dict(method="idpg", schedule=sched, eta=0.1, mu=np.ones(3),
-                    delta=np.array([0.9, 0.5, 0.1]), w=np.ones(3), zeta=0.5, seed=0)
-        assert SchemeConfig(**good).T == 3
-        for bad, message in (
-            (dict(eta=-1.0), "eta must be nonnegative"),
-            (dict(mu=np.array([1.0, -0.5, 1.0])), "step sizes"),
-            (dict(mu=np.array([1.0, 1.5, 1.0])), "step sizes"),
-            (dict(w=np.ones(4)), "w must have shape"),
-            (dict(delta=np.array([0.1, 0.5, 0.9])), "non-increasing"),  # increasing in t
-            (dict(delta=np.array([1.5, 0.5, 0.1])), r"\[0, 1\]"),
-            (dict(seed=-1), "seed must be nonnegative"),
-        ):
-            with pytest.raises(ValueError, match=message):
-                SchemeConfig(**{**good, **bad})
+        for method in schemes.METHODS:
+            assert SchemeConfig(**self.given_settings(method)).T == 3
+            for bad, message in (
+                (dict(eta=-1.0), "eta must be nonnegative"),
+                (dict(seed=-1), "seed must be nonnegative"),
+                (dict(gamma=-1.0), "gamma must be nonnegative"),
+                (dict(sigma_e=-0.1), "sigma_e must be nonnegative"),
+                (dict(zeta=1.5), r"zeta must lie in \[0, 1\]"),
+                (dict(step_size_policy="cosine"), "unknown step-size policy 'cosine'"),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    SchemeConfig(**self.given_settings(method, **bad))
+        with pytest.raises(ValueError, match="method must be one of"):
+            SchemeConfig(**self.given_settings("magic"))
 
     @pytest.mark.parametrize("bad,message", [
         (dict(eta=math.nan), "eta must be nonnegative and finite"),
         (dict(eta=math.inf), "eta must be nonnegative and finite"),
-        (dict(mu=np.array([1.0, math.nan, 1.0])), "step sizes"),
-        (dict(delta=np.array([math.nan, 0.5, 0.1])), "delta values"),
-        (dict(w=np.array([1.0, math.nan, 1.0])), "effective-noise weights"),
-        (dict(w=np.array([1.0, 1.5, 1.0])), "effective-noise weights"),
+        (dict(gamma=math.nan), "gamma must be nonnegative and finite"),
+        (dict(gamma=math.inf), "gamma must be nonnegative and finite"),
+        (dict(sigma_e=math.nan), "sigma_e must be nonnegative and finite"),
+        (dict(sigma_e=math.inf), "sigma_e must be nonnegative and finite"),
+        (dict(zeta=math.nan), r"zeta must lie in \[0, 1\]"),
         (dict(seed=2.7), "seed must be an integer, got 2.7"),
         (dict(seed=math.nan), "seed must be an integer, got nan"),
-    ], ids=["eta-nan", "eta-inf", "mu-nan", "delta-nan", "w-nan", "w-above-one",
-            "seed-fraction", "seed-nan"])
+    ], ids=["eta-nan", "eta-inf", "gamma-nan", "gamma-inf", "sigma_e-nan", "sigma_e-inf",
+            "zeta-nan", "seed-fraction", "seed-nan"])
     def test_config_rejects_non_finite_values(self, bad, message):
-        good = dict(method="idpg", schedule=make_ddpm_schedule(3), eta=0.1, mu=np.ones(3),
-                    delta=np.array([0.9, 0.5, 0.1]), w=np.ones(3), zeta=0.5, seed=0)
-        with pytest.raises(ValueError, match=message):
-            SchemeConfig(**{**good, **bad})
+        # every setting is checked whatever the method, so a NaN gamma fails for idbp too
+        for method in schemes.METHODS:
+            with pytest.raises(ValueError, match=message):
+                SchemeConfig(**self.given_settings(method, **bad))
+
+    @pytest.mark.parametrize("name", ["mu", "delta", "w"])
+    def test_schedules_cannot_be_given(self, name):
+        with pytest.raises(TypeError):
+            SchemeConfig(**self.given_settings("idpg"), **{name: np.ones(3)})
+        cfg = SchemeConfig(**self.given_settings("idpg"))
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(cfg, **{name: np.ones(3)})
+
+    def test_replace_derives_the_schedules_again(self):
+        cfg = dataclasses.replace(SchemeConfig(**self.given_settings("idbp")), method="pgm_ls")
+        assert np.all(cfg.delta == 1.0) and np.all(cfg.w == 1.0)
+
+    @given(T=st.integers(1, 300), gamma=st.floats(0.0, 50.0),
+           sigma_e=st.just(0.0) | st.floats(1e-6, 1.0), method=st.sampled_from(schemes.METHODS),
+           policy=st.sampled_from(["unit", "ddim-ratio"]))
+    @settings(max_examples=200, deadline=None)
+    def test_derived_schedules_meet_their_contract(self, T, gamma, sigma_e, method, policy):
+        cfg = make_scheme_config(method, make_ddpm_schedule(T), sigma_e, gamma=gamma,
+                                 step_size_policy=policy)
+        for values in (cfg.mu, cfg.delta, cfg.w):
+            assert values.shape == (T,)
+            assert np.all((values >= 0.0) & (values <= 1.0))
+        assert np.all(np.diff(cfg.delta) <= 1e-12)  # non-increasing along t
+        if method == "idbp":
+            assert np.all(cfg.delta == 0.0)
+        if method == "pgm_ls":
+            assert np.all(cfg.delta == 1.0)
+        if policy == "ddim-ratio":
+            assert cfg.mu[0] == 0.0
 
 
 class TestIDPG:

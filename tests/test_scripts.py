@@ -62,6 +62,20 @@ def test_count_source_counts_a_file_or_the_package():
         < package["code_lines"]
 
 
+def test_count_source_skips_derived_dataclass_fields(tmp_path):
+    path = tmp_path / "fields.py"
+    path.write_text(
+        "from dataclasses import dataclass, field\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Config:\n"
+        "    given: float\n"
+        "    also_given: int = field(default=1)\n"
+        "    derived: float = field(init=False)\n\n"
+        "def f(a, *rest, b=2, **more):\n"
+        "    return lambda c: c\n")
+    assert source_counts(path) == {"settable_values": 2 + 4 + 1, "code_lines": 8}
+
+
 def test_bench_trajectory_writes_the_next_free_file(tmp_path):
     (tmp_path / "BENCH_1.json").write_text("{}")
     result = run_script("bench_trajectory.py", "--sizes", "32", "--T", "5",
