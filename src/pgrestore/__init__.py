@@ -21,7 +21,7 @@ _EXPORTS = {
                "LinearOperator"),
     "guidance": ("g_delta", "wls_objective", "guide"),
     "schemes": ("DiffusionSchedule", "SchemeConfig", "RunTrace", "make_ddpm_schedule",
-                "make_scheme_config", "idpg_run", "ddpg_run", "run_scheme"),
+                "make_scheme_config", "ddpg_run", "run_scheme"),
     "denoisers": ("WienerPrior", "WienerMMSE", "GaussianSmooth", "Identity", "ExternalDenoiser"),
     "metrics": ("NoiseSpec", "degrade", "psnr", "mse"),
     "theory": ("TikhonovProblem", "verify_theorem1", "run_verifier_battery"),

@@ -78,17 +78,18 @@ class GaussianSmooth:
 
 @dataclass(frozen=True)
 class WienerPrior:
-    """Stationary Gaussian image prior: a power spectrum and a mean image.
+    """Stationary Gaussian image prior: a power spectrum and a mean value.
 
     ``spectrum`` is a nonnegative (height, width) array over the full FFT
     grid, symmetric under frequency negation so that samples are real,
     which makes its rfft2 half (``width//2 + 1`` columns, kept sliced as
-    ``half_spectrum``) enough to filter with. ``mean`` is a float array
-    that broadcasts to (height, width) or to (channels, height, width).
+    ``half_spectrum``) enough to filter with. ``mean`` is one finite real
+    number, the prior mean of every pixel in every channel; it is kept as
+    a Python float.
     """
 
     spectrum: np.ndarray
-    mean: float | np.ndarray = 0.0
+    mean: float = 0.0
     half_spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -103,12 +104,9 @@ class WienerPrior:
             raise ValueError("spectrum must be symmetric under frequency negation")
         object.__setattr__(self, "half_spectrum",
                            np.ascontiguousarray(spec[:, : spec.shape[1] // 2 + 1]))
-        mean = np.asarray(self.mean, dtype=float)
-        object.__setattr__(self, "mean", mean)
-        if (mean.ndim > 3 or not np.isfinite(mean).all()
-                or any(m not in (1, n) for m, n in zip(mean.shape[::-1], spec.shape[::-1]))):
-            raise ValueError(f"mean of shape {mean.shape} must be finite and broadcast to "
-                             "(height, width) or (channels, height, width)")
+        if np.ndim(self.mean) != 0 or not np.isfinite(self.mean):
+            raise ValueError(f"mean must be one finite real number, got {self.mean!r}")
+        object.__setattr__(self, "mean", float(self.mean))
 
     @staticmethod
     def smooth_default(shape, amplitude: float = 1.0) -> "WienerPrior":
@@ -122,26 +120,21 @@ class WienerPrior:
     def sample(self, rng: np.random.Generator, channels: int = 1) -> np.ndarray:
         """Draw an image from the prior (spectral coloring of white noise)."""
         _check_setting("channels", channels, "{1, 2, ...}")
-        self._check_channels(channels)
         white = rng.standard_normal((channels,) + self.spectrum.shape)
         out = fourier_filter(white, np.sqrt(self.half_spectrum))
         return np.add(out, self.mean, out=out)
-
-    def _check_channels(self, channels: int) -> None:
-        if self.mean.ndim == 3 and self.mean.shape[0] not in (1, channels):
-            raise ValueError(f"prior mean has {len(self.mean)} channels, the image has {channels}")
 
 
 class WienerMMSE:
     """Exact posterior-mean denoiser under a :class:`WienerPrior`.
 
     Per frequency f of the half spectrum: mean(f) + p(f) / (p(f) + sigma^2)
-    * (x(f) - mean(f)). sigma = 0 returns the input untouched. x - mean, the
-    mean broadcast, is filtered in place, in the array that is returned,
-    through a spectrum work array that each calling thread keeps for its
-    channel count, so that a call allocates only its output and the shrink
-    weights (half an image, made afresh: kept as well, they raised a 256^2
-    benchmark's peak resident memory by 1.5 MB).
+    * (x(f) - mean(f)). sigma = 0 returns the input untouched. x - mean is
+    filtered in place, in the array that is returned, through a spectrum
+    work array that each calling thread keeps for its channel count, so
+    that a call allocates only its output and the shrink weights (half an
+    image, made afresh: kept as well, they raised a 256^2 benchmark's peak
+    resident memory by 1.5 MB).
     """
 
     def __init__(self, prior: WienerPrior):
@@ -157,7 +150,6 @@ class WienerMMSE:
             raise ValueError(
                 f"prior grid {prior.spectrum.shape} does not match image {x.shape[1:]}"
             )
-        prior._check_channels(x.shape[0])
         half = prior.half_spectrum
         shrink = half + sigma**2
         np.divide(half, shrink, out=shrink)

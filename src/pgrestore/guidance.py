@@ -24,9 +24,9 @@ c ||A||^2 <= 1 and mu in [0, 1] (as ``SchemeConfig`` derives it), each
 mode's residual factor 1 - mu lambda^2 w lies in [0, 1]: no step raises
 the data term.
 
-The schedules (``delta_schedule``, ``mu_schedule``, ``eta_from_noise``)
-return plain numbers and arrays; :class:`pgrestore.schemes.SchemeConfig`
-checks a run's settings once and derives its schedules from them.
+The schedules (``delta_schedule``, ``eta_from_noise``) return plain
+numbers and arrays; :class:`pgrestore.schemes.SchemeConfig` builds a
+run's schedules from its settings, the step sizes mu among them.
 
 All functions are pure and safe for concurrent use.
 """
@@ -45,8 +45,6 @@ __all__ = [
     "make_guided_step",
     "delta_schedule",
     "eta_from_noise",
-    "mu_schedule",
-    "default_ls_scale",
 ]
 
 # Lower bound applied to the BP regularizer derived from the noise level.
@@ -104,16 +102,18 @@ def make_guided_step(op: LinearOperator, y, eta: float):
     """Build the guided step of one run, for a fixed y.
 
     Checks y's shape and that eta is nonnegative and finite, and returns
-    ``op.guided_step(y, eta, default_ls_scale(op))``: ``step(x0, delta,
-    mu)``, which returns what ``guide(op, x0, y, delta, eta, c, mu)``
-    does, up to rounding. delta and x0 are not checked per call:
-    ``SchemeConfig`` derives delta in [0, 1], and the loop checks the
-    denoiser's output shape.
+    ``op.guided_step(y, eta, c)``: ``step(x0, delta, mu)``, which returns
+    what ``guide(op, x0, y, delta, eta, c, mu)`` does, up to rounding. The
+    LS scale c = min(1, 1/||A||^2), so c ||A||^2 <= 1 and an LS step
+    descends. delta and x0 are not checked per call: ``SchemeConfig``
+    derives delta in [0, 1], and the loop checks the denoiser's output shape.
     """
     y = np.asarray(y, dtype=float)
     _check_shape("measurement", y, op.output_shape)
     _check_setting("eta", eta)
-    return op.guided_step(y, eta, default_ls_scale(op))
+    norm_sq = op.norm**2
+    # Exactly 1 while ||A||^2 <= 1 + 1e-12: a unit-sum kernel's norm can round above 1.
+    return op.guided_step(y, eta, 1.0 if norm_sq <= 1.0 + 1e-12 else 1.0 / norm_sq)
 
 
 def delta_schedule(alpha_bar, gamma: float, sigma_e: float):
@@ -142,31 +142,3 @@ def eta_from_noise(sigma_e: float, eta_tilde: float) -> float:
     _check_setting("sigma_e", sigma_e)
     _check_setting("eta_tilde", eta_tilde)
     return max(ETA_FLOOR, (2.0 * sigma_e) ** 2 * eta_tilde)
-
-
-def mu_schedule(alpha_bar_full, policy: str) -> np.ndarray:
-    """Step sizes per iteration for a named policy.
-
-    ``alpha_bar_full`` is the length T+1 array with entry 0 equal to 1.
-    "unit" returns mu_t = 1; "ddim-ratio" returns
-    mu_t = (1 - alpha_bar_{t-1}) / (1 - alpha_bar_t), which stays near 1
-    and drops to 0 at the final step.
-    """
-    abar = np.asarray(alpha_bar_full, dtype=float)
-    steps = len(abar) - 1
-    if steps < 1:
-        raise ValueError("need at least one step")
-    if policy == "unit":
-        return np.ones(steps)
-    if policy == "ddim-ratio":
-        return (1.0 - abar[:-1]) / (1.0 - abar[1:])
-    raise ValueError(f"unknown step-size policy {policy!r}")
-
-
-def default_ls_scale(op: LinearOperator) -> float:
-    """LS scale c = min(1, 1/||A||^2), so c ||A||^2 <= 1 and an LS step descends.
-
-    Exactly 1 while ||A||^2 <= 1 + 1e-12: a unit-sum kernel's norm can round above 1.
-    """
-    norm_sq = op.norm**2
-    return 1.0 if norm_sq <= 1.0 + 1e-12 else 1.0 / norm_sq

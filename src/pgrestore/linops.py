@@ -78,7 +78,8 @@ class SingularOperatorError(ValueError):
 
 
 # Each domain: low, high, both ends open, the step of a count (a count must be a Python
-# or numpy integer, so no float is truncated) or None, and what a value outside must do.
+# or numpy integer, so no float is truncated, and not a bool) or None, and what a value
+# outside must do.
 # NaN and +-inf lie in no domain.
 _DOMAINS = {
     "[0, inf)": (0, math.inf, False, None, "be nonnegative and finite"),
@@ -94,7 +95,7 @@ _DOMAINS = {
 def _check_setting(name: str, value, domain: str = "[0, inf)") -> None:
     """The check of every numeric setting: a ValueError ``<name> must ..., got <value>``."""
     low, high, strict, step, requirement = _DOMAINS[domain]
-    if step and not isinstance(value, (int, np.integer)):
+    if step and (not isinstance(value, (int, np.integer)) or isinstance(value, bool)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     valid = low < value < high if strict else low <= value <= high
     if not (valid and ((value - low) % step == 0 if step else math.isfinite(value))):

@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .guidance import delta_schedule, eta_from_noise, make_guided_step, mu_schedule
+from .guidance import delta_schedule, eta_from_noise, make_guided_step
 # Unused here; perfbench/spans.py patches both names on this module and fails without them.
 from .guidance import g_delta, wls_objective  # noqa: F401
 from .linops import LinearOperator, _check_setting
@@ -61,7 +61,6 @@ __all__ = [
     "SchemeConfig",
     "make_scheme_config",
     "RunTrace",
-    "idpg_run",
     "ddpg_run",
     "run_scheme",
     "METHODS",
@@ -138,12 +137,14 @@ class SchemeConfig:
     noise and ``seed`` its random stream. Every setting is checked, whatever
     the method. The three arrays of length T, entry i applying at iteration
     t = i + 1, are derived once from the settings and cannot be given:
-    ``mu`` (step sizes) by ``mu_schedule`` from ``step_size_policy``;
-    ``delta`` (BP-to-LS mix) and ``w`` (DDPG effective-noise weights) by
-    ``delta_schedule`` from ``gamma`` and ``sigma_e`` for idpg and ddpg,
-    while idbp pins delta = 0, pgm_ls pins delta = 1 and both take w = 1.
-    So each entry lies in [0, 1], and delta does not increase along t: the
-    mix moves from BP toward LS as t decreases.
+    ``mu`` (step sizes) from ``step_size_policy``, "unit" giving mu_t = 1 and
+    "ddim-ratio" mu_t = (1 - alpha_bar_{t-1}) / (1 - alpha_bar_t), which stays
+    near 1 and is 0 at t = 1; ``delta`` (BP-to-LS mix) and ``w`` (DDPG
+    effective-noise weights) by ``delta_schedule`` from ``gamma`` and
+    ``sigma_e`` for idpg and ddpg, while idbp pins delta = 0, pgm_ls pins
+    delta = 1 and both take w = 1. So each entry lies in [0, 1], and delta
+    does not increase along t: the mix moves from BP toward LS as t
+    decreases. ``delta_schedule`` checks gamma and sigma_e for every method.
     """
 
     method: str
@@ -161,16 +162,20 @@ class SchemeConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        for name in ("sigma_e", "eta", "gamma"):
-            _check_setting(name, getattr(self, name))
+        _check_setting("eta", self.eta)
         _check_setting("zeta", self.zeta, "[0, 1]")
         _check_setting("seed", self.seed, "{0, 1, ...}")
         alpha_bar, T = self.schedule.alpha_bar, self.T
-        if self.method in ("idpg", "ddpg"):
-            delta, w = delta_schedule(alpha_bar[1:], self.gamma, self.sigma_e)
-        else:
+        delta, w = delta_schedule(alpha_bar[1:], self.gamma, self.sigma_e)
+        if self.method in ("idbp", "pgm_ls"):
             delta, w = np.full(T, float(self.method == "pgm_ls")), np.ones(T)
-        object.__setattr__(self, "mu", mu_schedule(alpha_bar, self.step_size_policy))
+        if self.step_size_policy == "unit":
+            mu = np.ones(T)
+        elif self.step_size_policy == "ddim-ratio":
+            mu = (1.0 - alpha_bar[:-1]) / (1.0 - alpha_bar[1:])
+        else:
+            raise ValueError(f"unknown step-size policy {self.step_size_policy!r}")
+        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "w", w)
 
@@ -268,18 +273,6 @@ def _loop(denoiser, step, cfg: SchemeConfig, x, y, renoise=None):
     return x, RunTrace(*(np.array(col) for col in zip(*rows)))
 
 
-def idpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
-    """Deterministic denoise-then-guide loop; also runs idbp and pgm_ls.
-
-    Starts from the regularized back-projection of ``y`` and returns the
-    guided estimate produced by the final (t = 1) iteration, together
-    with the run trace. Deterministic given its arguments.
-    """
-    y = np.asarray(y, dtype=float)
-    step = make_guided_step(op, y, cfg.eta)
-    return _loop(denoiser, step, cfg, op.apply_reg_pinv(y, cfg.eta), y)
-
-
 @contextmanager
 def _fresh_noise(rng, shape, scales):
     """Yield ``draw()``, which returns fresh draw i of ``shape`` times ``scales[i]``.
@@ -362,7 +355,15 @@ def ddpg_run(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
 
 
 def run_scheme(denoiser: Denoiser, op: LinearOperator, y, cfg: SchemeConfig):
-    """Dispatch on cfg.method; idbp and pgm_ls are IDPG endpoint configs."""
+    """Restore from y with cfg.method; returns the final estimate and the run's trace.
+
+    ddpg samples (``ddpg_run``). idpg, idbp and pgm_ls (the IDPG endpoint
+    configs) run the deterministic loop from the regularized back-projection
+    of y and return the guided estimate of the final (t = 1) iteration;
+    such a run is deterministic given its arguments.
+    """
     if cfg.method == "ddpg":
         return ddpg_run(denoiser, op, y, cfg)
-    return idpg_run(denoiser, op, y, cfg)
+    y = np.asarray(y, dtype=float)
+    step = make_guided_step(op, y, cfg.eta)
+    return _loop(denoiser, step, cfg, op.apply_reg_pinv(y, cfg.eta), y)

@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 
 from pgrestore.guidance import (
     ETA_FLOOR,
-    default_ls_scale,
     delta_schedule,
     eta_from_noise,
     g_delta,
     guide,
     make_guided_step,
-    mu_schedule,
     wls_objective,
 )
 from pgrestore.denoisers import WienerMMSE, WienerPrior
-from pgrestore.kernels import bicubic_kernel, gaussian_kernel
+from pgrestore.kernels import bicubic_kernel, delta_kernel, gaussian_kernel
 from pgrestore.linops import (
     CircularConvolution,
     DenseOperator,
@@ -478,22 +476,33 @@ class TestSchedules:
                 eta_from_noise(*args)
 
     def test_mu_policies(self):
-        abar = np.array([1.0, 0.9, 0.7, 0.4])
-        assert np.all(mu_schedule(abar, "unit") == 1.0)
-        ratio = mu_schedule(abar, "ddim-ratio")
-        np.testing.assert_allclose(ratio, [0.0, 0.1 / 0.3, 0.3 / 0.6], atol=1e-15)
-        with pytest.raises(ValueError):
-            mu_schedule(abar, "nope")
+        # SchemeConfig derives mu from the step-size policy of its settings
+        schedule = make_ddpm_schedule(6)
+        abar = schedule.alpha_bar
+        for method in ("idpg", "idbp", "pgm_ls", "ddpg"):
+            unit = make_scheme_config(method, schedule, 0.05, step_size_policy="unit")
+            assert np.array_equal(unit.mu, np.ones(6))
+            ratio = make_scheme_config(method, schedule, 0.05, step_size_policy="ddim-ratio")
+            assert np.array_equal(ratio.mu, (1.0 - abar[:-1]) / (1.0 - abar[1:]))
+            assert ratio.mu[0] == 0.0
+            with pytest.raises(ValueError, match="unknown step-size policy 'nope'"):
+                make_scheme_config(method, schedule, 0.05, step_size_policy="nope")
 
 
-def test_default_ls_scale(rng):
-    blur = CircularConvolution(gaussian_kernel(5, 10.0), (1, 16, 16))
-    assert default_ls_scale(blur) == 1.0
+def test_default_ls_scale(monkeypatch):
+    # the LS scale c = min(1, 1/||A||^2) that make_guided_step hands to op.guided_step
+    def scale_of(op):
+        handed = []
+        monkeypatch.setattr(op, "guided_step", lambda y, eta, c: handed.append(c))
+        make_guided_step(op, np.zeros(op.output_shape), 0.1)
+        return handed[0]
+
+    assert scale_of(CircularConvolution(gaussian_kernel(5, 10.0), (1, 16, 16))) == 1.0
     # unit-sum taps whose computed norm is 1 + 2.2e-16: still exactly 1
     blur = CircularConvolution(gaussian_kernel(5, 2.0), (1, 16, 16))
-    assert blur.norm > 1.0 and default_ls_scale(blur) == 1.0
+    assert blur.norm > 1.0 and scale_of(blur) == 1.0
     for scale in (2, 4):  # matched bicubic: ||A|| = 1/s
-        sr = DownsampleConvolution(bicubic_kernel(scale), scale, (1, 16, 16))
-        assert default_ls_scale(sr) == 1.0
-    big = DenseOperator(3.0 * np.eye(8))
-    assert default_ls_scale(big) == pytest.approx(1.0 / 9.0, rel=1e-12)
+        assert scale_of(DownsampleConvolution(bicubic_kernel(scale), scale, (1, 16, 16))) == 1.0
+    for big in (DenseOperator(3.0 * np.eye(8)),
+                CircularConvolution(3.0 * delta_kernel(1), (1, 16, 16))):  # ||A|| = 3
+        assert scale_of(big) == pytest.approx(1.0 / 9.0, rel=1e-12)

@@ -25,6 +25,7 @@ from oracles import (
     peak_traced_bytes,
     reg_pinv_svd,
 )
+from pgrestore.schemes import make_ddpm_schedule, make_scheme_config
 
 SHAPE = (1, 8, 8)
 
@@ -444,3 +445,17 @@ def test_full_width_allocates_nothing_the_size_of_its_tail(rng):
     half = np.fft.rfft2(rng.standard_normal((1, 64, 128)))
     full = np.empty((1, 64, 256), dtype=complex)[..., :128]
     assert peak_traced_bytes(lambda: _full_width(half, full)) <= 4096
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_],
+                         ids=["True", "False", "np.True_", "np.False_"])
+@pytest.mark.parametrize("name, build", [
+    ("T", make_ddpm_schedule),
+    ("seed", lambda seed: make_scheme_config("ddpg", make_ddpm_schedule(3), 0.05, seed=seed)),
+    ("scale", lambda scale: DownsampleConvolution(bicubic_kernel(2), scale, SHAPE)),
+    ("size", lambda size: gaussian_kernel(size, 1.0)),
+], ids=["T", "seed", "scale", "kernel-size"])
+def test_bool_is_not_a_count(name, build, value):
+    # bool subclasses int: True would otherwise build a 1-step schedule or a 1 x 1 kernel
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        build(value)

@@ -20,7 +20,6 @@ from pgrestore.schemes import (
     SchemeConfig,
     ddpg_run,
     eps_effective,
-    idpg_run,
     make_ddpm_schedule,
     make_scheme_config,
     run_scheme,
@@ -222,7 +221,7 @@ class TestIDPG:
         op = CircularConvolution(delta_kernel(1), SHAPE)
         y = rng.standard_normal(SHAPE)
         cfg = dataclasses.replace(make_scheme_config("idbp", make_ddpm_schedule(6), 0.0), eta=0.0)
-        x, trace = idpg_run(Identity(), op, y, cfg)
+        x, trace = run_scheme(Identity(), op, y, cfg)
         np.testing.assert_allclose(x, y, atol=1e-12)
         # after the first step every denoised iterate already satisfies Ax = y
         assert np.all(trace.residual[1:] <= 1e-12)
@@ -231,7 +230,7 @@ class TestIDPG:
     def test_oracle_denoiser_returns_truth(self):
         op, _, x_star, y = blur_setup(seed=3, sigma_e=0.0)
         cfg = dataclasses.replace(make_scheme_config("idpg", make_ddpm_schedule(8), 0.0), eta=0.0)
-        x, trace = idpg_run(lambda x, sigma: x_star, op, y, cfg)
+        x, trace = run_scheme(lambda x, sigma: x_star, op, y, cfg)
         np.testing.assert_allclose(x, x_star, atol=1e-10)
         assert np.all(trace.residual <= 1e-10)
 
@@ -243,7 +242,7 @@ class TestIDPG:
         for seed in range(5):
             op, prior, x_star, y = blur_setup(seed=seed, sigma_e=0.05, amplitude=16.0)
             cfg = make_scheme_config("idpg", sched, 0.05, gamma=8.0, eta_tilde=0.7)
-            x, _ = idpg_run(WienerMMSE(prior), op, y, cfg)
+            x, _ = run_scheme(WienerMMSE(prior), op, y, cfg)
             gains.append(psnr(x, x_star) - psnr(y, x_star))
         assert min(gains) > 1.0
         assert float(np.mean(gains)) > 2.0
@@ -254,7 +253,7 @@ class TestIDPG:
         denoiser = WienerMMSE(prior)
         sched = make_ddpm_schedule(12)
         cfg = make_scheme_config("idbp", sched, 0.05, eta_tilde=0.7)
-        x, _ = idpg_run(denoiser, op, y, cfg)
+        x, _ = run_scheme(denoiser, op, y, cfg)
 
         eta = cfg.eta
         ref = op.apply_reg_pinv(y, eta)
@@ -269,7 +268,7 @@ class TestIDPG:
         denoiser = WienerMMSE(prior)
         sched = make_ddpm_schedule(12)
         cfg = make_scheme_config("pgm_ls", sched, 0.05)
-        x, _ = idpg_run(denoiser, op, y, cfg)
+        x, _ = run_scheme(denoiser, op, y, cfg)
 
         ref = op.apply_reg_pinv(y, cfg.eta)
         for t in range(sched.T, 0, -1):
@@ -284,13 +283,13 @@ class TestIDPG:
         y = op.apply(x_star)
         cfg = dataclasses.replace(make_scheme_config("idbp", make_ddpm_schedule(10), 0.0),
                                   eta=0.0)
-        _, trace = idpg_run(WienerMMSE(prior), op, y, cfg)
+        _, trace = run_scheme(WienerMMSE(prior), op, y, cfg)
         assert np.all(trace.residual_after <= 1e-8 * np.linalg.norm(y))
 
     def test_trace_delta_monotone_and_descent(self):
         op, prior, _, y = blur_setup(seed=13, sigma_e=0.05)
         cfg = make_scheme_config("idpg", make_ddpm_schedule(30), 0.05, gamma=6.0)
-        _, trace = idpg_run(WienerMMSE(prior), op, y, cfg)
+        _, trace = run_scheme(WienerMMSE(prior), op, y, cfg)
         assert len(trace.t) == 30
         assert np.all(np.diff(trace.delta) >= 0)  # loop order is t = T..1
         # normalized blur has spectral norm 1, so c = 1 satisfies the descent bound
@@ -304,7 +303,7 @@ class TestIDPG:
 
         cfg = make_scheme_config("idpg", make_ddpm_schedule(4), 0.0)
         with pytest.raises(RuntimeError, match=r"iteration t=4"):
-            idpg_run(broken, op, y, cfg)
+            run_scheme(broken, op, y, cfg)
 
 
 class TestNonFinite:
@@ -495,7 +494,7 @@ def task_setup(task, size):
 
 
 def idpg_out_of_place(denoiser, op, y, cfg):
-    """idpg_run as a plain loop over make_guided_step: x and the six trace columns."""
+    """The IDPG loop of run_scheme, written out plainly: x and the six trace columns."""
     step = make_guided_step(op, y, cfg.eta)
     x = op.apply_reg_pinv(y, cfg.eta)
     rows = []
@@ -518,7 +517,7 @@ def test_idpg_matches_a_plain_loop(task, size):
     cfg = make_scheme_config("idpg", make_ddpm_schedule(12), 0.05, step_size_policy="ddim-ratio")
     assert 0.0 < cfg.delta.min() and cfg.delta.max() < 1.0  # BP and LS mixed throughout
     denoiser = WienerMMSE(prior)
-    x, trace = idpg_run(denoiser, op, y, cfg)
+    x, trace = run_scheme(denoiser, op, y, cfg)
     x_ref, columns = idpg_out_of_place(denoiser, op, y, cfg)
     assert np.array_equal(x, x_ref)
     names = ("t", "delta", "objective", "residual", "objective_after", "residual_after")
@@ -645,7 +644,7 @@ class TestDDPG:
         assert np.array_equal(via_dispatch, direct)
         idbp_cfg = make_scheme_config("idbp", make_ddpm_schedule(5), 0.05)
         via_dispatch, _ = run_scheme(denoiser, op, y, idbp_cfg)
-        direct, _ = idpg_run(denoiser, op, y, idbp_cfg)
+        direct, _ = idpg_out_of_place(denoiser, op, y, idbp_cfg)
         assert np.array_equal(via_dispatch, direct)
 
     def test_ddim_ratio_policy_zero_final_step(self):
@@ -675,7 +674,7 @@ def test_restore_loop_makes_no_blas_call(monkeypatch, method, task):
 def test_trace_export_format(tmp_path):
     op, prior, _, y = blur_setup(seed=23, sigma_e=0.05)
     cfg = make_scheme_config("idpg", make_ddpm_schedule(5), 0.05)
-    _, trace = idpg_run(WienerMMSE(prior), op, y, cfg)
+    _, trace = run_scheme(WienerMMSE(prior), op, y, cfg)
     path = tmp_path / "run.trace"
     trace.save(path)
     lines = path.read_text().strip().splitlines()
@@ -699,3 +698,41 @@ def test_trace_file_bytes_are_pinned(tmp_path):
         b"2 0.3 -0 0.333333333333\n"
         b"1 1 1.23456789012e+13 2.5e+17\n"
     )
+
+
+@pytest.mark.parametrize("method", schemes.METHODS)
+def test_wrong_measurement_shape_fails_before_any_denoiser_call(method):
+    # 128^2 is above the draw-ahead size, so ddpg would start its draw worker
+    op, prior, y = mask_setup(AHEAD)
+    calls = []
+
+    def recording(x, sigma):
+        calls.append(sigma)
+        return x
+
+    cfg = make_scheme_config(method, make_ddpm_schedule(4), 0.05, seed=1)
+    threads = threading.active_count()
+    with pytest.raises(linops.ShapeMismatchError, match="measurement has shape"):
+        run_scheme(recording, op, np.concatenate([y, y]), cfg)
+    assert calls == [] and threading.active_count() == threads
+
+
+def test_one_config_checks_sigma_e_twice_and_gamma_once(monkeypatch):
+    # make_scheme_config checks sigma_e in eta_from_noise and again in delta_schedule, which
+    # SchemeConfig calls for every method; gamma is checked there alone
+    import pgrestore.guidance as guidance
+
+    checked = []
+
+    def recording(name, value, *domain):
+        checked.append(name)
+        return linops._check_setting(name, value, *domain)
+
+    for module in (schemes, guidance):
+        monkeypatch.setattr(module, "_check_setting", recording)
+    schedule = make_ddpm_schedule(5)
+    for method in schemes.METHODS:
+        checked.clear()
+        make_scheme_config(method, schedule, 0.05)
+        assert sorted(checked) == ["eta", "eta_tilde", "gamma", "seed", "sigma_e", "sigma_e",
+                                   "zeta"], method

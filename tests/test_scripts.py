@@ -48,11 +48,10 @@ def test_make_kernels_writes_files(tmp_path):
 def source_counts(*paths):
     result = run_script("count_source.py", *map(str, paths))
     assert result.returncode == 0, result.stderr
-    (settable, settable_value), (lines, lines_value) = (
-        line.rsplit(": ", 1) for line in result.stdout.splitlines())
-    assert (settable, lines) == ("settable values",
-                                 "code lines (not blank, comments or docstrings)")
-    return {"settable_values": int(settable_value), "code_lines": int(lines_value)}
+    labels, values = zip(*(line.rsplit(": ", 1) for line in result.stdout.splitlines()))
+    assert labels == ("settable values", "code lines (not blank, comments or docstrings)",
+                      "public names")
+    return dict(zip(("settable_values", "code_lines", "public_names"), map(int, values)))
 
 
 def test_count_source_counts_a_file_or_the_package():
@@ -73,7 +72,22 @@ def test_count_source_skips_derived_dataclass_fields(tmp_path):
         "    derived: float = field(init=False)\n\n"
         "def f(a, *rest, b=2, **more):\n"
         "    return lambda c: c\n")
-    assert source_counts(path) == {"settable_values": 2 + 4 + 1, "code_lines": 8}
+    assert source_counts(path) == {"settable_values": 2 + 4 + 1, "code_lines": 8,
+                                   "public_names": 0}
+
+
+def test_count_source_counts_the_entries_of_literal_all_lists(tmp_path):
+    listed, derived = tmp_path / "listed.py", tmp_path / "derived.py"
+    listed.write_text('__all__ = ["a", "b"]\n\n'
+                      'def a():\n    __all__ = ["not", "module", "level"]\n')
+    derived.write_text('_NAMES = ("a", "b", "c")\n__all__ = list(_NAMES)\n')
+    assert source_counts(listed)["public_names"] == 2
+    assert source_counts(derived)["public_names"] == 0
+    assert source_counts(tmp_path)["public_names"] == 2
+    init = ROOT / "src" / "pgrestore" / "__init__.py"
+    assert source_counts(init)["public_names"] == 0
+    assert 0 < source_counts(ROOT / "src" / "pgrestore" / "schemes.py")["public_names"] \
+        < source_counts()["public_names"]
 
 
 def test_bench_trajectory_writes_the_next_free_file(tmp_path):
