@@ -17,13 +17,18 @@ before it, and records:
   (``getrusage``) over the 3 timed calls, per iteration, after one warm-up
   call.
 
+Each cell process starts with glibc's allocator pinned (``MALLOC_ENV``, set
+in the environment the cells inherit): by default its mmap threshold
+follows the sizes freed before, so whether an image-sized buffer comes
+back from the heap or from fresh pages would depend on the cell's history.
+
 It also records where the numbers come from: the git SHA and whether the
 tree had uncommitted changes, the numpy and Python versions, ``nproc``,
-the source counts of ``scripts/count_source.py``, the CPU time of the
-script and its cell processes over the wall time of the whole matrix, and
-the steal jiffies over it (from ``/proc/stat``, where it exists). The
-numbers are ungated: compare two files made on one machine, one soon
-after the other.
+the source counts of ``scripts/count_source.py``, the allocator settings,
+the CPU time of the script and its cell processes over the wall time of
+the whole matrix, and the steal jiffies over it (from ``/proc/stat``,
+where it exists). The numbers are ungated: compare two files made on one
+machine, one soon after the other.
 
     python scripts/bench_trajectory.py                   # T = 100, writes ./BENCH_<n>.json
     python scripts/bench_trajectory.py --sizes 32 --T 5 --out-dir /tmp/bench
@@ -54,6 +59,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TASKS = (("deblur", 1), ("sr", 2), ("sr", 4), ("inpaint", 1))
 METHODS = ("idpg", "ddpg")
 SIGMA_E, AMPLITUDE, REPEATS = 0.05, 64.0, 3
+# glibc's mmap and trim thresholds in every cell process (32 MiB and 64 MiB).
+MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "67108864"}
 # Four disjoint streams: the image, its mask, its noise and the DDPG run.
 IMAGE_SEED, MASK_SEED, NOISE_SEED, RUN_SEED = 0, 1, 2, 3
 
@@ -153,6 +160,7 @@ def main() -> None:
     steal, wall, cpu = steal_jiffies(), time.perf_counter(), time.process_time()
     jobs = [(task, scale, size, method, args.T)
             for size in args.sizes for task, scale in TASKS for method in METHODS]
+    os.environ.update(MALLOC_ENV)
     # One fresh interpreter per cell; joined, so that RUSAGE_CHILDREN holds their CPU time.
     with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
         cells = pool.starmap(measure_cell, jobs, chunksize=1)
@@ -171,6 +179,7 @@ def main() -> None:
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),
         "source": count_source(),
+        "malloc": MALLOC_ENV,
         "wall_s": wall,
         "cpu_over_wall": cpu / wall,
         "steal_jiffies": None if steal is None or steal_after is None else steal_after - steal,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import io
 from .denoisers import WienerPrior, make_denoiser
-from .linops import CircularConvolution, DownsampleConvolution, Mask, _check_finite, as_image
+from .linops import CircularConvolution, DownsampleConvolution, Mask, _check_finite
 from .metrics import NoiseSpec, degrade, mse, psnr
 from .schemes import make_ddpm_schedule, make_scheme_config, run_scheme
 
@@ -171,10 +171,8 @@ def _output_path(path, flag: str) -> Path:
 def _read_source(path) -> np.ndarray:
     p = _require_file(path, "input image")
     data = io.read_tensor(p) if p.suffix == ".pgt" else io.read_image(p)
-    try:
-        return as_image(data)
-    except ValueError as exc:  # a .pgt may hold NaN or infinity
-        raise ValueError(f"{p}: {exc}") from None
+    _check_finite(f"{p}: image", data)  # a .pgt may hold NaN or infinity
+    return data
 
 
 def _measurement_to_3d(y: np.ndarray) -> np.ndarray:

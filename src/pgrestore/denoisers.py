@@ -84,8 +84,8 @@ class WienerPrior:
     grid, symmetric under frequency negation so that samples are real,
     which makes its rfft2 half (``width//2 + 1`` columns, kept sliced as
     ``half_spectrum``) enough to filter with. ``mean`` is one finite real
-    number, the prior mean of every pixel in every channel; it is kept as
-    a Python float.
+    number, not a bool, the prior mean of every pixel in every channel; it
+    is kept as a Python float.
     """
 
     spectrum: np.ndarray
@@ -104,7 +104,8 @@ class WienerPrior:
             raise ValueError("spectrum must be symmetric under frequency negation")
         object.__setattr__(self, "half_spectrum",
                            np.ascontiguousarray(spec[:, : spec.shape[1] // 2 + 1]))
-        if np.ndim(self.mean) != 0 or not np.isfinite(self.mean):
+        if (np.ndim(self.mean) != 0 or isinstance(self.mean, (bool, np.bool_))
+                or not np.isfinite(self.mean)):
             raise ValueError(f"mean must be one finite real number, got {self.mean!r}")
         object.__setattr__(self, "mean", float(self.mean))
 

@@ -55,7 +55,6 @@ __all__ = [
     "Mask",
     "DenseOperator",
     "fourier_filter",
-    "as_image",
     "SPECTRAL_ZERO_TOL",
     "DENSE_SIZE_CAP",
 ]
@@ -78,9 +77,8 @@ class SingularOperatorError(ValueError):
 
 
 # Each domain: low, high, both ends open, the step of a count (a count must be a Python
-# or numpy integer, so no float is truncated, and not a bool) or None, and what a value
-# outside must do.
-# NaN and +-inf lie in no domain.
+# or numpy integer, so no float is truncated) or None, and what a value outside must do.
+# No setting is a bool, and NaN and +-inf lie in no domain.
 _DOMAINS = {
     "[0, inf)": (0, math.inf, False, None, "be nonnegative and finite"),
     "(0, inf)": (0, math.inf, True, None, "be positive and finite"),
@@ -95,8 +93,8 @@ _DOMAINS = {
 def _check_setting(name: str, value, domain: str = "[0, inf)") -> None:
     """The check of every numeric setting: a ValueError ``<name> must ..., got <value>``."""
     low, high, strict, step, requirement = _DOMAINS[domain]
-    if step and (not isinstance(value, (int, np.integer)) or isinstance(value, bool)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, (bool, np.bool_)) or (step and not isinstance(value, (int, np.integer))):
+        raise ValueError(f"{name} must be {'an integer' if step else 'a number'}, got {value!r}")
     valid = low < value < high if strict else low <= value <= high
     if not (valid and ((value - low) % step == 0 if step else math.isfinite(value))):
         raise ValueError(f"{name} must {requirement}, got {value}")
@@ -114,21 +112,6 @@ def _image_shape(image_shape) -> tuple:
 def _check_finite(name: str, arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
-
-
-def as_image(x) -> np.ndarray:
-    """Coerce to a float (channels, height, width) array and validate it.
-
-    Checks the invariants every image-shaped array must satisfy: three
-    strictly positive dimensions and no NaN/Inf entries.
-    """
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 3 or min(arr.shape) < 1:
-        raise ShapeMismatchError(
-            f"expected a (channels, height, width) array, got shape {arr.shape}"
-        )
-    _check_finite("image", arr)
-    return arr
 
 
 def _check_shape(name: str, arr: np.ndarray, expected) -> None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pgrestore.denoisers import WienerMMSE, WienerPrior
 from pgrestore.kernels import bicubic_kernel, delta_kernel, gaussian_kernel
 from pgrestore.linops import (
     CircularConvolution,
@@ -458,4 +459,25 @@ def test_full_width_allocates_nothing_the_size_of_its_tail(rng):
 def test_bool_is_not_a_count(name, build, value):
     # bool subclasses int: True would otherwise build a 1-step schedule or a 1 x 1 kernel
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "np.True_"])
+@pytest.mark.parametrize("message, build", [
+    ("sigma_e must be a number",
+     lambda v: make_scheme_config("idpg", make_ddpm_schedule(3), v)),
+    ("gamma must be a number",
+     lambda v: make_scheme_config("idpg", make_ddpm_schedule(3), 0.05, gamma=v)),
+    ("zeta must be a number",
+     lambda v: make_scheme_config("ddpg", make_ddpm_schedule(3), 0.05, zeta=v)),
+    ("eta_tilde must be a number",
+     lambda v: make_scheme_config("idpg", make_ddpm_schedule(3), 0.05, eta_tilde=v)),
+    ("sigma must be a number",
+     lambda v: WienerMMSE(WienerPrior.smooth_default((8, 8)))(np.zeros(SHAPE), v)),
+    ("std must be a number", lambda v: gaussian_kernel(3, v)),
+    ("mean must be one finite real number", lambda v: WienerPrior(np.ones((8, 8)), mean=v)),
+], ids=["sigma_e", "gamma", "zeta", "eta_tilde", "denoiser-sigma", "kernel-std", "prior-mean"])
+def test_bool_is_not_a_number(message, build, value):
+    # bool subclasses int: True would otherwise be taken as 1.0, and False as 0.0
+    with pytest.raises(ValueError, match=f"^{message}, got {value!r}$"):
         build(value)

@@ -1,6 +1,11 @@
 import dataclasses
 import math
+import os
+import platform
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -736,3 +741,39 @@ def test_one_config_checks_sigma_e_twice_and_gamma_once(monkeypatch):
         make_scheme_config(method, schedule, 0.05)
         assert sorted(checked) == ["eta", "eta_tilde", "gamma", "seed", "sigma_e", "sigma_e",
                                    "zeta"], method
+
+
+# A 256^2 DDPG inpaint, run twice in a fresh interpreter: the minor faults of the second run.
+RENOISE_FAULTS = """
+import resource
+import numpy as np
+from pgrestore.denoisers import WienerMMSE, WienerPrior
+from pgrestore.linops import Mask
+from pgrestore.metrics import NoiseSpec, degrade
+from pgrestore.schemes import make_ddpm_schedule, make_scheme_config, run_scheme
+shape = (1, 256, 256)
+prior = WienerPrior.smooth_default(shape[1:], amplitude=64.0)
+op = Mask(np.random.default_rng(1).random(shape[1:]) < 0.5, shape)
+y = degrade(op, prior.sample(np.random.default_rng(0)), NoiseSpec(0.05, seed=2))
+cfg = make_scheme_config("ddpg", make_ddpm_schedule(50), 0.05, seed=3)
+denoiser = WienerMMSE(prior)
+run_scheme(denoiser, op, y, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_scheme(denoiser, op, y, cfg)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.T)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the settings are glibc's")
+def test_ddpg_renoise_makes_no_page_faults():
+    # With glibc's mmap and trim thresholds pinned, as scripts/bench_trajectory.py pins them,
+    # every per-iteration buffer is reused from the heap: about 4.5 faults per iteration
+    # without them, where the thresholds adapt to the sizes freed before.
+    pytest.importorskip("resource")
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="33554432", MALLOC_TRIM_THRESHOLD_="67108864")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", RENOISE_FAULTS], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) < 1.0

@@ -98,9 +98,11 @@ def test_bench_trajectory_writes_the_next_free_file(tmp_path):
     record = json.loads((tmp_path / "BENCH_2.json").read_text())
     assert set(record) == {"provenance", "settings", "cells"}
     assert set(record["provenance"]) == {
-        "git_sha", "git_dirty", "numpy", "python", "nproc", "source", "wall_s",
+        "git_sha", "git_dirty", "numpy", "python", "nproc", "source", "malloc", "wall_s",
         "cpu_over_wall", "steal_jiffies"}
     assert record["provenance"]["source"] == source_counts()
+    assert record["provenance"]["malloc"] == {"MALLOC_MMAP_THRESHOLD_": "33554432",
+                                              "MALLOC_TRIM_THRESHOLD_": "67108864"}
     cells = {(c["task"], c["scale"], c["method"]): c for c in record["cells"]}
     assert len(cells) == len(record["cells"]) == 8
     for (task, scale, method), cell in cells.items():

@@ -11,13 +11,11 @@ from pgrestore.theory import (
     claim2_check,
     claim3_check,
     claim4_check,
-    condition_numbers,
     data_weight_matrix,
     mc_bias_variance,
     random_conforming_problem,
     run_verifier_battery,
     tikhonov_estimate,
-    verify_claim2,
     verify_theorem1,
 )
 from oracles import gradient_descent_minimize
@@ -195,72 +193,6 @@ class TestTheorem1:
             assert report.passed
 
 
-class TestConditionNumbers:
-    def test_ls_ratio(self):
-        _, _, k_ls = condition_numbers(np.array([1.0, 0.5]), 1.0, 1.0)
-        assert k_ls == pytest.approx(4.0, rel=1e-12)
-
-    def test_wls_formula_value(self):
-        _, k_wls, _ = condition_numbers(np.array([1.0, 0.5]), 0.5, 1.0)
-        assert k_wls == pytest.approx(1.6, rel=1e-12)
-
-    def test_bp_is_one_and_ordering(self, rng):
-        for i in range(20):
-            inst = np.random.default_rng(500 + i)
-            lam = np.sort(inst.uniform(0.2, 1.5, size=4))[::-1]
-            if lam[0] - lam[-1] < 0.05:
-                continue
-            k_bp, k_wls, k_ls = condition_numbers(lam, float(inst.uniform(0.1, 0.9)), 1.0)
-            assert k_bp == 1.0
-            assert k_bp < k_wls < k_ls
-
-    def test_degenerate_lambda_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            condition_numbers(np.array([0.7, 0.7, 0.7]), 0.5, 1.0)
-        with pytest.raises(ValueError):
-            condition_numbers(np.array([1.0, -0.5]), 0.5, 1.0)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="positive and finite"):
-                condition_numbers(np.array([bad, 0.5]), 0.5, 1.0)
-        with pytest.raises(ValueError):
-            condition_numbers(np.array([0.5, 1.0]), 0.5, 1.0)
-
-
-class TestClaim2:
-    def test_identity_weight(self, rng):
-        a = rng.standard_normal((3, 6))
-        assert verify_claim2(a, np.eye(3)) <= 1e-12
-
-    def test_gram_inverse_weight(self, rng):
-        a = rng.standard_normal((4, 9))
-        assert verify_claim2(a, np.linalg.inv(a @ a.T)) <= 1e-8
-
-    def test_scaled_identity_weight(self, rng):
-        a = rng.standard_normal((3, 6))
-        assert verify_claim2(a, 2.0 * np.eye(3)) <= 1e-10
-
-    def test_non_commuting_weight_rejected(self, rng):
-        a = rng.standard_normal((4, 6))
-        w = rng.standard_normal((4, 4))
-        w = w @ w.T + 4 * np.eye(4)  # PD but generic
-        with pytest.raises(ValueError, match="commute"):
-            verify_claim2(a, w)
-
-    def test_non_finite_a_rejected(self, rng):
-        # an inf in A made the residual NaN, which claim2_check took for a pass
-        a = rng.standard_normal((2, 3))
-        a[0, 0] = np.inf
-        with pytest.raises(ValueError, match="a_matrix contains non-finite entries"):
-            verify_claim2(a, np.eye(2))
-
-    def test_non_finite_w_rejected(self, rng):
-        a = rng.standard_normal((2, 3))
-        w = np.eye(2)
-        w[1, 0] = np.nan
-        with pytest.raises(ValueError, match="w_matrix contains non-finite entries"):
-            verify_claim2(a, w)
-
-
 class TestBattery:
     def test_individual_checks_pass(self):
         assert claim1_check().passed
@@ -289,8 +221,7 @@ class TestBattery:
 @pytest.mark.parametrize("build, name", [
     (lambda bad: small_problem(12, beta_prior=bad), "beta_prior"),
     (lambda bad: small_problem(12, sigma_e=bad), "sigma_e"),
-    (lambda bad: condition_numbers(np.array([1.0, 0.5]), 0.5, bad), "c"),
-], ids=["TikhonovProblem-beta_prior", "TikhonovProblem-sigma_e", "condition_numbers-c"])
+], ids=["TikhonovProblem-beta_prior", "TikhonovProblem-sigma_e"])
 def test_non_finite_setting_rejected(build, name, bad):
     with pytest.raises(ValueError, match=f"{name} must be .* finite, got {bad}"):
         build(bad)
