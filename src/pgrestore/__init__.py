@@ -11,7 +11,8 @@ external denoiser worker, say) never loads the verifier or the loops.
 
 import importlib
 
-from . import linops
+# Unused here; imported eagerly so that ``import pgrestore`` loads linops and numpy.
+from . import linops  # noqa: F401
 
 __version__ = "0.1.0"
 
@@ -24,7 +25,7 @@ _EXPORTS = {
                 "make_scheme_config", "ddpg_run", "run_scheme"),
     "denoisers": ("WienerPrior", "WienerMMSE", "GaussianSmooth", "Identity", "ExternalDenoiser"),
     "metrics": ("NoiseSpec", "degrade", "psnr", "mse"),
-    "theory": ("TikhonovProblem", "verify_theorem1", "run_verifier_battery"),
+    "theory": ("run_verifier_battery",),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "io", "kernels"}
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -103,18 +103,6 @@ def directional_derivative(fun, x, direction, step=1e-5) -> float:
     return (fun(x + step * direction) - fun(x - step * direction)) / (2.0 * step)
 
 
-def gradient_descent_minimize(grad, x0, lipschitz, tol=1e-12, max_iters=200000):
-    """Plain gradient descent with step 1/L, iterated to stationarity."""
-    x = np.array(x0, dtype=float)
-    step = 1.0 / lipschitz
-    for _ in range(max_iters):
-        g = grad(x)
-        x = x - step * g
-        if np.linalg.norm(g) <= tol:
-            break
-    return x
-
-
 def peak_traced_bytes(call):
     """Peak bytes that ``call()`` allocates (numpy data included), after one warm-up call."""
     call()

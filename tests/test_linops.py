@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from oracles import (
     peak_traced_bytes,
     reg_pinv_svd,
 )
+from pgrestore.metrics import NoiseSpec
 from pgrestore.schemes import make_ddpm_schedule, make_scheme_config
 
 SHAPE = (1, 8, 8)
@@ -480,4 +482,17 @@ def test_bool_is_not_a_count(name, build, value):
 def test_bool_is_not_a_number(message, build, value):
     # bool subclasses int: True would otherwise be taken as 1.0, and False as 0.0
     with pytest.raises(ValueError, match=f"^{message}, got {value!r}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("name, build, value", [
+    ("gamma", lambda v: make_scheme_config("idpg", make_ddpm_schedule(3), 0.05, gamma=v), "8"),
+    ("zeta", lambda v: make_scheme_config("ddpg", make_ddpm_schedule(3), 0.05, zeta=v), None),
+    ("gamma", lambda v: make_scheme_config("idpg", make_ddpm_schedule(3), 0.05, gamma=v), 1 + 0j),
+    ("std", lambda v: gaussian_kernel(3, v), "1"),
+    ("sigma_e", lambda v: NoiseSpec(sigma_e=v), "0.1"),
+], ids=["gamma-str", "zeta-None", "gamma-complex", "kernel-std-str", "noise-sigma_e-str"])
+def test_non_real_value_is_not_a_number(name, build, value):
+    # without the type test, the range comparison raised a TypeError naming no setting
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got {re.escape(repr(value))}$"):
         build(value)

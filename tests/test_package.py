@@ -1,5 +1,6 @@
 """The package namespace: what each import loads, and the lazy public names."""
 
+import ast
 import importlib
 import json
 import os
@@ -70,3 +71,29 @@ class TestNamespace:
         # tracing proxies patch run_scheme through vars(pgrestore)
         run_scheme = pgrestore.run_scheme
         assert vars(pgrestore)["run_scheme"] is run_scheme
+
+
+def test_no_module_level_import_is_unused():
+    # Fails on a module-level import whose name the module never uses (an `__all__` entry
+    # counts as a use). A line marked `# noqa: F401` is exempt, with its reason on or above it.
+    unused = []
+    for path in sorted((SRC / "pgrestore").glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {entry.value for node in tree.body if isinstance(node, ast.Assign)
+                 and isinstance(node.value, (ast.List, ast.Tuple))
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                 for entry in node.value.elts}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
